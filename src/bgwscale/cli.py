@@ -57,8 +57,10 @@ def _parse_levels(text: str) -> list[int]:
     return [int(text)]
 
 
-def _cfg(tol: float) -> QuadConfig:
-    return DEFAULT_CFG if tol == 1e-13 else QuadConfig(rel_tol=max(tol, 1e-14))
+def _tol_cfg(ctx, param, tol: float) -> QuadConfig:
+    if not tol >= 1e-14:  # --tol is the tables' relative tolerance
+        raise click.BadParameter(f"must be at least 1e-14, got {tol!r}")
+    return QuadConfig(rel_tol=tol)
 
 
 def _load(path: str) -> md.ModelSpec:
@@ -133,7 +135,8 @@ def main():
 
 
 _model_opt = click.option("--model", "model_path", required=True, type=click.Path())
-_tol_opt = click.option("--tol", default=1e-13, show_default=True)
+_tol_opt = click.option("--tol", "cfg", default=DEFAULT_CFG.rel_tol, show_default=True,
+                        callback=_tol_cfg, help="relative tolerance of the tables")
 _out_opt = click.option("--out", "out_format", type=click.Choice(["json", "csv"]),
                         default="json", show_default=True)
 
@@ -162,7 +165,7 @@ def model_check(model_path):
 @_model_opt
 @_tol_opt
 @guarded
-def model_classify(model_path, tol):
+def model_classify(model_path, cfg):
     t0 = time.perf_counter()
     spec = _load(model_path)
     rep = md.classify(spec)
@@ -184,11 +187,10 @@ def model_classify(model_path, tol):
 @_tol_opt
 @_out_opt
 @guarded
-def scale_cmd(model_path, fn, q, qbar, x_text, tol, out_format):
+def scale_cmd(model_path, fn, q, qbar, x_text, cfg, out_format):
     """Evaluate a scale function at one level or a range of levels."""
     t0 = time.perf_counter()
     spec = _load(model_path)
-    cfg = _cfg(tol)
     xs = _parse_levels(x_text)
     evaluate = {
         "phi": lambda x: sc.phi_q_fn(spec, q, x, cfg) if q > 0.0 else sc.phi_0_fn(spec, x, cfg),
@@ -227,11 +229,11 @@ def _levels_payload(xs, vals, name):
 @_tol_opt
 @_out_opt
 @guarded
-def passage_lt(model_path, q, x_text, a_level, tol, out_format):
+def passage_lt(model_path, q, x_text, a_level, cfg, out_format):
     t0 = time.perf_counter()
     spec = _load(model_path)
     xs = _parse_levels(x_text)
-    vals = [ps.lt_first_passage(spec, q, x, a_level, _cfg(tol)) for x in xs]
+    vals = [ps.lt_first_passage(spec, q, x, a_level, cfg) for x in xs]
     _finish("passage lt", spec, {"q": q, "x": x_text, "a": a_level},
             _levels_payload(xs, vals, "value"), t0, out_format,
             rows=list(zip(xs, vals)), header=("x", "value"))
@@ -244,11 +246,11 @@ def passage_lt(model_path, q, x_text, a_level, tol, out_format):
 @_tol_opt
 @_out_opt
 @guarded
-def passage_prob(model_path, x_text, a_level, tol, out_format):
+def passage_prob(model_path, x_text, a_level, cfg, out_format):
     t0 = time.perf_counter()
     spec = _load(model_path)
     xs = _parse_levels(x_text)
-    vals = [ps.prob_passage(spec, x, a_level, _cfg(tol)) for x in xs]
+    vals = [ps.prob_passage(spec, x, a_level, cfg) for x in xs]
     _finish("passage prob", spec, {"x": x_text, "a": a_level},
             _levels_payload(xs, vals, "value"), t0, out_format,
             rows=list(zip(xs, vals)), header=("x", "value"))
@@ -261,11 +263,11 @@ def passage_prob(model_path, x_text, a_level, tol, out_format):
 @_tol_opt
 @_out_opt
 @guarded
-def passage_mean(model_path, x_text, a_level, tol, out_format):
+def passage_mean(model_path, x_text, a_level, cfg, out_format):
     t0 = time.perf_counter()
     spec = _load(model_path)
     xs = _parse_levels(x_text)
-    vals = [ps.mean_first_passage(spec, x, a_level, _cfg(tol)) for x in xs]
+    vals = [ps.mean_first_passage(spec, x, a_level, cfg) for x in xs]
     _finish("passage mean", spec, {"x": x_text, "a": a_level},
             _levels_payload(xs, vals, "value"), t0, out_format,
             rows=list(zip(xs, vals)), header=("x", "value"))
@@ -281,16 +283,16 @@ def passage_mean(model_path, x_text, a_level, tol, out_format):
 @_tol_opt
 @_out_opt
 @guarded
-def passage_explosion(model_path, q, x_text, a_level, want_mean, tol, out_format):
+def passage_explosion(model_path, q, x_text, a_level, want_mean, cfg, out_format):
     t0 = time.perf_counter()
     spec = _load(model_path)
     xs = _parse_levels(x_text)
     if want_mean:
-        vals = [ps.mean_explosion(spec, x, _cfg(tol)) for x in xs]
+        vals = [ps.mean_explosion(spec, x, cfg) for x in xs]
     elif q > 0.0:
-        vals = [ps.lt_explosion_before(spec, q, x, a_level, _cfg(tol)) for x in xs]
+        vals = [ps.lt_explosion_before(spec, q, x, a_level, cfg) for x in xs]
     else:
-        vals = [ps.prob_explosion_before(spec, x, a_level, _cfg(tol)) for x in xs]
+        vals = [ps.prob_explosion_before(spec, x, a_level, cfg) for x in xs]
     _finish("passage explosion", spec, {"q": q, "x": x_text, "a": a_level, "mean": want_mean},
             _levels_payload(xs, vals, "value"), t0, out_format,
             rows=list(zip(xs, vals)), header=("x", "value"))
@@ -305,10 +307,9 @@ def passage_explosion(model_path, q, x_text, a_level, want_mean, tol, out_format
 @_tol_opt
 @_out_opt
 @guarded
-def passage_atmin(model_path, q, x, alpha, tol, out_format):
+def passage_atmin(model_path, q, x, alpha, cfg, out_format):
     t0 = time.perf_counter()
     spec = _load(model_path)
-    cfg = _cfg(tol)
     law = ps.atmin_law(spec, q, x, cfg)
     payload = {"pmf": {str(k): p for k, p in enumerate(law.pmf)}}
     rows = [(k, p) for k, p in enumerate(law.pmf)]
@@ -329,10 +330,10 @@ def passage_atmin(model_path, q, x, alpha, tol, out_format):
 @click.option("--x-max", default=5, show_default=True)
 @_tol_opt
 @guarded
-def passage_condition(model_path, q, x_max, tol):
+def passage_condition(model_path, q, x_max, cfg):
     t0 = time.perf_counter()
     spec = _load(model_path)
-    gen = ps.conditioned_generator(spec, q, x_max, _cfg(tol))
+    gen = ps.conditioned_generator(spec, q, x_max, cfg)
     payload = {
         "x_max": gen.x_max,
         "leave_rates": {str(x + 1): r for x, r in enumerate(gen.leave_rates)},
@@ -348,10 +349,10 @@ def passage_condition(model_path, q, x_max, tol):
 @click.option("--qbar", required=True, type=float)
 @_tol_opt
 @guarded
-def passage_tilt(model_path, qbar, tol):
+def passage_tilt(model_path, qbar, cfg):
     t0 = time.perf_counter()
     spec = _load(model_path)
-    tilted = ps.tilted_model(spec, qbar, _cfg(tol))
+    tilted = ps.tilted_model(spec, qbar, cfg)
     _finish("passage tilt", spec, {"qbar": qbar}, md.spec_to_dict(tilted), t0)
 
 
@@ -364,11 +365,11 @@ def passage_tilt(model_path, qbar, tol):
 @_tol_opt
 @_out_opt
 @guarded
-def passage_avalanche(model_path, q, qbar, x_text, a_level, tol, out_format):
+def passage_avalanche(model_path, q, qbar, x_text, a_level, cfg, out_format):
     t0 = time.perf_counter()
     spec = _load(model_path)
     xs = _parse_levels(x_text)
-    vals = [ps.lt_joint_avalanche(spec, q, qbar, x, a_level, _cfg(tol)) for x in xs]
+    vals = [ps.lt_joint_avalanche(spec, q, qbar, x, a_level, cfg) for x in xs]
     _finish("passage avalanche", spec, {"q": q, "qbar": qbar, "x": x_text, "a": a_level},
             _levels_payload(xs, vals, "value"), t0, out_format,
             rows=list(zip(xs, vals)), header=("x", "value"))
@@ -393,12 +394,12 @@ def _problem(spec, floor, q):
 @_tol_opt
 @_out_opt
 @guarded
-def control_value(model_path, q, floor, x_text, tol, out_format):
+def control_value(model_path, q, floor, x_text, cfg, out_format):
     t0 = time.perf_counter()
     spec = _load(model_path)
     prob = _problem(spec, floor, q)
     xs = _parse_levels(x_text)
-    vals = [ctl.optimal_value(prob, x, _cfg(tol)) for x in xs]
+    vals = [ctl.optimal_value(prob, x, cfg) for x in xs]
     _finish("control value", spec, {"q": q, "floor": floor, "x": x_text},
             _levels_payload(xs, vals, "value"), t0, out_format,
             rows=list(zip(xs, vals)), header=("x", "value"))
@@ -412,12 +413,12 @@ def control_value(model_path, q, floor, x_text, tol, out_format):
 @_tol_opt
 @_out_opt
 @guarded
-def control_gap(model_path, q, floor, a_text, tol, out_format):
+def control_gap(model_path, q, floor, a_text, cfg, out_format):
     t0 = time.perf_counter()
     spec = _load(model_path)
     prob = _problem(spec, floor, q)
     alist = _parse_levels(a_text)
-    vals = [ctl.barrier_gap(prob, a, _cfg(tol)) for a in alist]
+    vals = [ctl.barrier_gap(prob, a, cfg) for a in alist]
     _finish("control gap", spec, {"q": q, "floor": floor, "a": a_text},
             _levels_payload(alist, vals, "value"), t0, out_format,
             rows=list(zip(alist, vals)), header=("a", "value"))
@@ -431,11 +432,11 @@ def control_gap(model_path, q, floor, a_text, tol, out_format):
 @click.option("--f-max", default=12, show_default=True)
 @_tol_opt
 @guarded
-def control_bellman(model_path, q, floor, x_max, f_max, tol):
+def control_bellman(model_path, q, floor, x_max, f_max, cfg):
     t0 = time.perf_counter()
     spec = _load(model_path)
     prob = _problem(spec, floor, q)
-    rep = ctl.verify_bellman(prob, x_max, f_max, _cfg(tol))
+    rep = ctl.verify_bellman(prob, x_max, f_max, cfg)
     payload = {"ok": rep.ok, "counterexample": list(rep.counterexample)
                if rep.counterexample else None}
     _finish("control bellman", spec, {"q": q, "floor": floor,

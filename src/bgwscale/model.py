@@ -557,7 +557,6 @@ class GapEvaluator:
     """
 
     def __init__(self, spec: ModelSpec, qbar: float = 0.0):
-        self.spec = spec
         self.qbar = float(qbar)
         self.lam = spec.lam
         off = spec.offspring
@@ -599,8 +598,3 @@ class GapEvaluator:
         expanded = (lam + qbar) * delta - lam * (1.0 - self.p0) * pow_diff
         direct = lam * (u - (1.0 - self.p0) * u**a) - qbar * (1.0 - u)
         return np.where(near, expanded, direct)
-
-    def den_plain(self, v):
-        v = np.asarray(v, dtype=float)
-        out = self.lam * (self.spec.offspring.pgf(v) - v) - self.qbar * v
-        return out

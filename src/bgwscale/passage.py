@@ -304,7 +304,7 @@ def tilted_model(spec: md.ModelSpec, qbar: float, cfg: QuadConfig = DEFAULT_CFG)
     if spec.offspring.kind == "tabular":
         pmf = {k: p * v**k / ptilde_v for k, p in enumerate(spec.offspring.pmf) if p > 0.0}
     else:
-        terms = spec.offspring.pmf_terms(_tilt_cutoff(spec.offspring, v))
+        terms = spec.offspring.pmf_terms(_tilt_cutoff(v))
         pmf = {k: p * v**k / ptilde_v for k, p in enumerate(terms) if p > 0.0}
     new_off = md.OffspringLaw.tabular(pmf)
 
@@ -316,7 +316,7 @@ def tilted_model(spec: md.ModelSpec, qbar: float, cfg: QuadConfig = DEFAULT_CFG)
             if spec.immigration.r_minus1 > 0.0:
                 rpmf[-1] = spec.immigration.r_minus1 / (v * rtilde_v)
         else:
-            _, terms = spec.immigration.pmf_terms(_tilt_cutoff_imm(spec.immigration, v))
+            _, terms = spec.immigration.pmf_terms(_tilt_cutoff(v))
             rpmf = {k + 1: p * v ** (k + 1) / rtilde_v for k, p in enumerate(terms) if p > 0.0}
         new_imm = md.ImmigrationLaw.tabular(rpmf)
         new_mu = spec.mu * rtilde_v
@@ -326,10 +326,6 @@ def tilted_model(spec: md.ModelSpec, qbar: float, cfg: QuadConfig = DEFAULT_CFG)
     return md.make_spec(new_off, spec.lam + qbar, new_imm, new_mu)
 
 
-def _tilt_cutoff(law: md.OffspringLaw, v: float) -> int:
+def _tilt_cutoff(v: float) -> int:
     # tail of sum p_k v^k beyond K is < v^K / (1-v); solve for the tolerance
-    return max(16, int(math.log(_TILT_TAIL_TOL * (1.0 - v)) / math.log(v)) + 2)
-
-
-def _tilt_cutoff_imm(law: md.ImmigrationLaw, v: float) -> int:
     return max(16, int(math.log(_TILT_TAIL_TOL * (1.0 - v)) / math.log(v)) + 2)

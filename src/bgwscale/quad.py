@@ -81,36 +81,47 @@ _WG = np.array([
 _G_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 
 
+_BLOCK = 512  # panels per integrand call: bounds the working set of a level
+
+
+def gk_panels(g: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
+              abs_tol: float, rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One G7/K15 step of a vectorized integrand on every panel [lo_i, hi_i]:
+    K15 values, error estimates, and the mask of panels failing the test."""
+    mid = 0.5 * (lo + hi)
+    rad = 0.5 * (hi - lo)
+    y = np.empty((len(mid), len(_XK)))
+    for s in range(0, len(mid), _BLOCK):
+        x = mid[s:s + _BLOCK, None] + rad[s:s + _BLOCK, None] * _XK
+        with np.errstate(all="ignore"):
+            y[s:s + _BLOCK] = np.reshape(g(x.ravel()), x.shape)
+    # non-finite values only arise where endpoint distances underflowed,
+    # i.e. where the true contribution is below representable size
+    y[~np.isfinite(y)] = 0.0
+    k = rad * (y @ _WK)
+    err = np.abs(k - rad * (y[:, _G_IDX] @ _WG))
+    ok = (err <= np.fmax(abs_tol, rel_tol * np.abs(k))) | (rad < 1e-17 * (1 + np.abs(mid)))
+    return k, err, ~ok
+
+
 def gk_adaptive(g: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                 abs_tol: float, rel_tol: float, max_depth: int = 60) -> tuple[float, float]:
     """Adaptive G7/K15 of a vectorized integrand over [a, b]."""
     if a == b:
         return 0.0, 0.0
-    sign = 1.0
-    if a > b:
-        a, b, sign = b, a, -1.0
+    sign, a, b = (1.0, a, b) if a < b else (-1.0, b, a)
     stack = [(a, b, 0, abs_tol)]
-    total = 0.0
-    total_err = 0.0
+    total = total_err = 0.0
     while stack:
         lo, hi, depth, tol = stack.pop()
-        mid = 0.5 * (lo + hi)
-        rad = 0.5 * (hi - lo)
-        x = mid + rad * _XK
-        with np.errstate(all="ignore"):
-            y = np.asarray(g(x), dtype=float)
-        # non-finite values only arise where endpoint distances underflowed,
-        # i.e. where the true contribution is below representable size
-        y = np.where(np.isfinite(y), y, 0.0)
-        k = rad * float(np.dot(_WK, y))
-        g7 = rad * float(np.dot(_WG, y[_G_IDX]))
-        err = abs(k - g7)
-        if err <= max(tol, rel_tol * abs(k)) or depth >= max_depth or rad < 1e-17 * (1 + abs(mid)):
-            total += k
-            total_err += err
-        else:
+        k, err, fail = gk_panels(g, np.array([lo]), np.array([hi]), tol, rel_tol)
+        if fail[0] and depth < max_depth:
+            mid = 0.5 * (lo + hi)
             stack.append((lo, mid, depth + 1, 0.5 * tol))
             stack.append((mid, hi, depth + 1, 0.5 * tol))
+        else:
+            total += float(k[0])
+            total_err += float(err[0])
     return sign * total, total_err
 
 
@@ -178,16 +189,6 @@ class TSMap:
         u = math.atanh(y)
         t = math.asinh(2.0 * u / math.pi)
         return max(-T_MAX, min(T_MAX, t))
-
-
-def gk_adaptive_t(chart: TSMap, g_of_points: Callable[[TSPoints], np.ndarray],
-                  t0: float, t1: float, abs_tol: float, rel_tol: float,
-                  max_depth: int = 60) -> tuple[float, float]:
-    """Adaptive G7/K15 in the chart variable; ``g_of_points`` maps TSPoints to
-    the full t-integrand (including dv/dt)."""
-    def g(t):
-        return g_of_points(chart.points(t))
-    return gk_adaptive(g, t0, t1, abs_tol, rel_tol, max_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +280,8 @@ def weight_eval(spec: md.ModelSpec, q: float, v: float,
 
 def make_gamma_t(spec: md.ModelSpec, q: float, chart: TSMap, *,
                  qbar: float = 0.0, numerator: str = "full",
-                 upper: bool = False) -> Callable[[TSPoints], np.ndarray]:
-    """t-space integrand of gamma over the chart.
+                 upper: bool = False) -> Callable[[np.ndarray], np.ndarray]:
+    """t-space integrand of gamma over the chart, as a function of t.
 
     ``numerator``: "full" -> q + mu(1-r~), "imm" -> mu(1-r~), "unit" -> 1.
     ``upper``: chart is (varphi, 1), denominator lam*(v - p~(v)) (> 0 there).
@@ -291,7 +292,8 @@ def make_gamma_t(spec: md.ModelSpec, q: float, chart: TSMap, *,
     imm = spec.immigration
     b_is_one = abs(chart.b - 1.0) < 1e-15
 
-    def g(p: TSPoints) -> np.ndarray:
+    def g(t: np.ndarray) -> np.ndarray:
+        p = chart.points(t)
         if upper:
             d_root = -p.da          # root (= varphi) sits at the left endpoint
             d_one = p.db
@@ -322,8 +324,8 @@ def _gamma_integral(spec: md.ModelSpec, q: float, w_from: float, w_to: float,
     else:
         chart = TSMap(0.0, md.root_varphi_qbar(spec, qbar))
     g = make_gamma_t(spec, q, chart, qbar=qbar, numerator=numerator, upper=upper)
-    t0, t1 = chart.t_of(w_from), chart.t_of(w_to)
-    val, _ = gk_adaptive_t(chart, g, t0, t1, 1e-15, 0.1 * cfg.rel_tol, cfg.max_depth)
+    val, _ = gk_adaptive(g, chart.t_of(w_from), chart.t_of(w_to), 1e-15, 0.1 * cfg.rel_tol,
+                         cfg.max_depth)
     return val
 
 

@@ -6,10 +6,16 @@ Every function is an integral of the shape
 
 over I = (0, U) (U the smallest root of the denominator D, i.e. varphi or
 varphi_qbar) or I = (varphi, 1).  One quadrature table per (model, q, qbar,
-branch) serves all x: tanh-sinh nodes of I, the inner integral accumulated by
-telescoping adaptive Gauss-Kronrod panels between consecutive nodes in the
-chart variable, and everything stored in log space (the integrating factor
-underflows near the root for moderate q already).
+branch) serves all x.  A table level is the tanh-sinh node ladder of I with
+step 2^-level in the chart variable t.  The inner integral is telescoped along
+that ladder from an anchor node: one blocked G7/K15 pass integrates gamma over
+every panel between consecutive nodes, cumulative sums of the panel values
+give the inner weight on both sides of the anchor, and each side stops once
+its terms fall _LOG_CUT below the running peak.  Only the panels inside the
+kept ladder whose one-step error test fails are refined adaptively, after
+which the cut is recomputed.  Levels refine until probe values settle, and
+everything is stored in log space (the integrating factor underflows near the
+root for moderate q already).
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from . import model as md
 from .errors import DomainError, PreconditionError, QuadratureError, UnsupportedRegimeError
-from .quad import DEFAULT_CFG, QuadConfig, T_MAX, TSMap, gk_adaptive, make_gamma_t
+from .quad import DEFAULT_CFG, QuadConfig, T_MAX, TSMap, gk_adaptive, gk_panels, make_gamma_t
 
 #: |phi_q - varphi| below this selects the power-function branch Phi_q = varphi^x.
 BOUNDARY_TIE_TOL = 1e-9
@@ -102,63 +108,67 @@ class ScaleTable:
             logv = np.log1p(-pts.db)
         log_absD = self._log_abs_den(pts.v, d_root, log_abs_droot, d_one)
 
-        # anchor node for the telescoped inner integral
-        if self.anchor_end or self.branch == "upper":
-            ja = npts - 1
-        else:
-            ja = int(np.argmin(np.abs(pts.t - self.chart.t_of(max(self.theta, 1e-300)))))
-            if self.theta <= 0.0:
-                ja = 0
-        logw = np.full(npts, -np.inf)
-        base = 0.0
-        if not (self.anchor_end or self.branch == "upper") and self.theta > 0.0:
-            # correction from theta to its nearest grid node (oriented)
-            base = -self._panel(self.chart.t_of(self.theta), pts.t[ja])
-        logw[ja] = base
+        # anchor node for the telescoped inner integral, and the (oriented)
+        # correction from theta to its nearest grid node
+        ja, base = npts - 1, 0.0
+        if not (self.anchor_end or self.branch == "upper"):
+            ja = 0
+            if self.theta > 0.0:
+                t_theta = self.chart.t_of(self.theta)
+                ja = int(np.argmin(np.abs(pts.t - t_theta)))
+                base = -self._panel(t_theta, pts.t[ja])
+        log_ts_w = math.log(h) + pts.log_dvdt
 
-        # Panel P_i = int_{t_i}^{t_{i+1}} gamma dt.  Updates per kernel type:
+        # Panel P_i = int_{t_i}^{t_{i+1}} gamma dt, all from one batched G7/K15
+        # step.  Updates per kernel type, walking away from the anchor:
         #   theta-anchored  logw = -int_theta^v:  right: -P,  left: +P
         #   upper           logw = -int_v^1:      left: -P
         #   end-anchored    logw = +int_v^b:      left: +P (may diverge)
+        # Failing panels inside the kept ladders get the adaptive rule, which
+        # may move the cuts; failing panels outside them are never used.
         left_sign = -1.0 if self.branch == "upper" else 1.0
-        # the J-weighted assembly (unit numerator) has no 1/omega damping, so
-        # every node matters; never cut that ladder
-        no_cut = self.numerator == "unit"
-        best = -math.inf
-        acc = base
-        for i in range(ja, npts - 1):
-            term0 = math.log(h) + pts.log_dvdt[i] + acc - log_absD[i]
-            best = max(best, term0)
-            if term0 < best - _LOG_CUT and i > ja + 8 and not no_cut:
+        P, _, fail = gk_panels(self.gamma_t, pts.t[:-1], pts.t[1:], 1e-15, 1e-13)
+        while True:
+            with np.errstate(invalid="ignore", over="ignore"):
+                right = np.cumsum(np.concatenate(([base], -P[ja:])))
+                left = np.cumsum(np.concatenate(([base], left_sign * P[:ja][::-1])))
+                nr, best = self._ladder_len(log_ts_w[ja:-1] + right[:-1] - log_absD[ja:-1],
+                                            -math.inf)
+                nl, _ = self._ladder_len(log_ts_w[ja:0:-1] + left[:-1] - log_absD[ja:0:-1], best)
+            # the left walk ends at its first divergent node
+            div = np.flatnonzero(left[1:nl + 1] > _DIVERGENCE_LOG)
+            nl = int(div[0]) + 1 if div.size else nl
+            redo = np.flatnonzero(fail[ja - nl:ja + nr]) + (ja - nl)
+            if not redo.size:
                 break
-            acc = acc - self._panel(pts.t[i], pts.t[i + 1])
-            logw[i + 1] = acc
-        acc = base
-        for i in range(ja, 0, -1):
-            term0 = math.log(h) + pts.log_dvdt[i] + acc - log_absD[i]
-            best = max(best, term0)
-            if term0 < best - _LOG_CUT and i < ja - 8 and not no_cut:
-                break
-            acc = acc + left_sign * self._panel(pts.t[i - 1], pts.t[i])
-            if acc > _DIVERGENCE_LOG:
-                raise QuadratureError("inner weight integral diverges", math.inf, math.inf)
-            logw[i - 1] = acc
+            P[redo] = [self._panel(pts.t[i], pts.t[i + 1]) for i in redo]
+            fail[redo] = False
+        if div.size:
+            raise QuadratureError("inner weight integral diverges", math.inf, math.inf)
+        logw = np.full(npts, -np.inf)
+        logw[ja:ja + nr + 1] = right[:nr + 1]
+        logw[ja - nl:ja + 1] = left[nl::-1]
 
         self.pts = pts
-        self.h = h
         self.logv = logv
         self.log_absD = log_absD
         self.logw = logw
-        self.log_ts_w = math.log(h) + pts.log_dvdt
+        self.log_ts_w = log_ts_w
+
+    def _ladder_len(self, terms: np.ndarray, best: float) -> tuple[int, float]:
+        """Steps a ladder takes before a node term falls _LOG_CUT below the
+        running peak (seeded with ``best``; NaN never moves it), and the peak
+        there.  The first 9 steps are always taken.  The J-weighted assembly
+        (unit numerator) has no 1/omega damping, so it is never cut."""
+        peak = np.fmax.accumulate(np.concatenate(([best], terms)))
+        stop = terms < peak[1:] - _LOG_CUT
+        stop[:9] = False
+        k = int(np.argmax(stop)) if stop.any() and self.numerator != "unit" else len(terms)
+        return k, peak[min(k + 1, len(terms))]
 
     def _panel(self, t0: float, t1: float) -> float:
         """int_{t0}^{t1} gamma dt in the chart variable (oriented)."""
-        if t0 == t1:
-            return 0.0
-        def g(t):
-            return self.gamma_t(self.chart.points(t))
-        val, _ = gk_adaptive(g, t0, t1, 1e-15, 1e-13, self.cfg.max_depth)
-        return val
+        return gk_adaptive(self.gamma_t, t0, t1, 1e-15, 1e-13, self.cfg.max_depth)[0]
 
     def _log_abs_den(self, v, d_root, log_abs_droot, d_one):
         gap = self.gap
@@ -262,13 +272,6 @@ def _table(spec: md.ModelSpec, q: float, *, qbar: float = 0.0, branch: str = "lo
     return tbl
 
 
-def kernel_diagnostics(spec: md.ModelSpec, q: float, qbar: float = 0.0,
-                       cfg: QuadConfig = DEFAULT_CFG) -> KernelDiagnostics | None:
-    key = (spec, q, qbar, "lower", "full", md.root_phi_q(spec, q), False, cfg)
-    tbl = _CACHE.get(key)
-    return tbl.diagnostics if tbl is not None else None
-
-
 # ---------------------------------------------------------------------------
 # public scale functions
 # ---------------------------------------------------------------------------
@@ -361,8 +364,7 @@ def _phi0_integral_diverges_impl(spec: md.ModelSpec, cfg: QuadConfig) -> bool:
 
     # base inner integral from phi up to v = 1 - 1e-2
     t0 = chart.t_of(max(phi, 1e-300)) if phi > 0.0 else -T_MAX
-    base, _ = gk_adaptive(lambda t: gamma_t(chart.points(t)), t0, chart.t_of(1.0 - 1e-2),
-                          1e-14, 1e-12)
+    base, _ = gk_adaptive(gamma_t, t0, chart.t_of(1.0 - 1e-2), 1e-14, 1e-12)
     L = -base
     windows = []
     for j in range(2, 6):

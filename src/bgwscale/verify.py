@@ -145,6 +145,8 @@ def mc_suite(spec: md.ModelSpec, paths: int, seed: int) -> list[Check]:
         law = ps.atmin_law(spec, q, 3)
         res = sim.atmin_clock_sample(spec, q, 3, cfg(3))
         done = (res.status == sim.CLOCK_RING) | (res.status == sim.HIT)
+        # a path stopped at the explosion threshold has already seen its minimum
+        done |= res.status == sim.THRESHOLD
         counts = np.bincount(res.min_level[done], minlength=4)[:4]
         n = int(np.sum(done))
         worst = 0.0

@@ -48,6 +48,29 @@ class TestScaleCommand:
         assert json.loads(json.dumps({"v": text_value}))["v"] == text_value
 
 
+class TestTolerance:
+    def _phi(self, runner, model_dir, *tol):
+        return _invoke(runner, ["scale", "--model", str(model_dir / "m1.json"),
+                                "--q", "0.5", "--x", "1", *tol])
+
+    def test_default_is_the_library_rel_tol(self, runner, model_dir):
+        assert self._phi(runner, model_dir).stdout == \
+            self._phi(runner, model_dir, "--tol", "1e-10").stdout
+
+    @pytest.mark.parametrize("tol", ["1e-6", "1e-12", "1e-14"])
+    def test_tol_is_relative_tolerance(self, runner, model_dir, tol):
+        r = self._phi(runner, model_dir, "--tol", tol)
+        assert r.exit_code == 0
+        want = 3 - 6 * math.log(1.5)
+        assert json.loads(r.stdout)["phi_q"] == pytest.approx(want, rel=max(float(tol), 1e-13))
+
+    @pytest.mark.parametrize("tol", ["1e-15", "0", "-1e-10"])
+    def test_below_floor_is_usage_error(self, runner, model_dir, tol):
+        r = self._phi(runner, model_dir, "--tol", tol)
+        assert r.exit_code == 64
+        assert r.stdout == ""
+
+
 class TestPassageCommands:
     def test_lt_known_value(self, runner, model_dir):
         r = _invoke(runner, ["passage", "lt", "--model", str(model_dir / "m2.json"),

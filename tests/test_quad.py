@@ -58,6 +58,30 @@ class TestGaussKronrod:
         val, _ = quad.gk_adaptive(np.exp, 0.0, 1.0, 1e-15, 1e-13)
         assert val == pytest.approx(math.e - 1.0, rel=1e-13)
 
+    def test_panels_flag_kink_then_refine(self):
+        # |x - c| has its kink inside panel 5 only; elsewhere one K15 step is exact
+        c = 0.537
+
+        def g(x):
+            return np.exp(x) + np.abs(x - c)
+
+        edges = np.linspace(0.0, 1.0, 11)
+        vals, _, fail = quad.gk_panels(g, edges[:-1], edges[1:], 1e-15, 1e-13)
+        assert np.flatnonzero(fail).tolist() == [5]
+        vals[fail] = [quad.gk_adaptive(g, edges[i], edges[i + 1], 1e-15, 1e-13)[0]
+                      for i in np.flatnonzero(fail)]
+        for i in range(10):
+            want, _ = quad.gk_adaptive(g, edges[i], edges[i + 1], 1e-15, 1e-13)
+            assert vals[i] == pytest.approx(want, rel=1e-15, abs=1e-17)
+        exact = math.e - 1.0 + 0.5 * (c ** 2 + (1.0 - c) ** 2)
+        assert float(np.sum(vals)) == pytest.approx(exact, rel=1e-14)
+
+    def test_panels_across_blocks(self):
+        edges = np.linspace(-3.0, 2.0, 1201)  # more panels than one block
+        vals, _, fail = quad.gk_panels(np.sin, edges[:-1], edges[1:], 1e-15, 1e-13)
+        assert not fail.any()
+        assert float(np.sum(vals)) == pytest.approx(math.cos(-3.0) - math.cos(2.0), rel=1e-13)
+
 
 class TestWeights:
     def test_rho_values(self, m1, m2, m4):

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from scipy import integrate as sci
 
 from bgwscale import model as md
+from bgwscale import quad
 from bgwscale import scale as sc
 from bgwscale.errors import DomainError, PreconditionError, UnsupportedRegimeError
 
@@ -211,3 +213,77 @@ class TestHarmonicResidual:
         rhs = 0.75 * 1.0 + 0.25 * PHI_M1[(0.5, 2)]
         assert lhs == pytest.approx(rhs, rel=1e-12)
         assert sc.harmonic_residual(m1, 0.5, 0.0, "phi_q", 1) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# batched table build against the sequential panel-by-panel ladder
+# ---------------------------------------------------------------------------
+
+def _reference_logw(tbl: sc.ScaleTable) -> np.ndarray:
+    """The table's last level rebuilt node by node, one gk_adaptive call per panel."""
+    pts = tbl.pts
+    t = pts.t
+    npts = len(t)
+
+    def panel(t0, t1):
+        return quad.gk_adaptive(tbl.gamma_t, t0, t1,
+                                1e-15, 1e-13, tbl.cfg.max_depth)[0]
+
+    theta_anchored = not (tbl.anchor_end or tbl.branch == "upper")
+    if not theta_anchored:
+        ja = npts - 1
+    elif tbl.theta <= 0.0:
+        ja = 0
+    else:
+        ja = int(np.argmin(np.abs(t - tbl.chart.t_of(tbl.theta))))
+    base = 0.0
+    if theta_anchored and tbl.theta > 0.0:
+        base = -panel(tbl.chart.t_of(tbl.theta), t[ja])
+    logw = np.full(npts, -np.inf)
+    logw[ja] = base
+    no_cut = tbl.numerator == "unit"
+    left_sign = -1.0 if tbl.branch == "upper" else 1.0
+    best = -math.inf
+    acc = base
+    for i in range(ja, npts - 1):
+        term0 = tbl.log_ts_w[i] + acc - tbl.log_absD[i]
+        best = max(best, term0)
+        if term0 < best - sc._LOG_CUT and i > ja + 8 and not no_cut:
+            break
+        acc = acc - panel(t[i], t[i + 1])
+        logw[i + 1] = acc
+    acc = base
+    for i in range(ja, 0, -1):
+        term0 = tbl.log_ts_w[i] + acc - tbl.log_absD[i]
+        best = max(best, term0)
+        if term0 < best - sc._LOG_CUT and i < ja - 8 and not no_cut:
+            break
+        acc = acc + left_sign * panel(t[i - 1], t[i])
+        logw[i - 1] = acc
+    return logw
+
+
+class TestBatchedBuild:
+    """Every fixture table that the warm passage benchmark prebuilds."""
+
+    def _tables(self, m1, m2, m3, m4, m5):
+        tables = [sc._table(spec, q) for spec, qs in
+                  ((m1, (0.5, 1.0, 2.0)), (m2, (2.0, 4.0)), (m3, (0.5, 1.0, 2.0)),
+                   (m4, (1.0, 2.0)), (m5, (1.0, 2.0))) for q in qs]
+        tables += [sc._table(spec, q, qbar=qbar, theta=md.root_phi_q(spec, q))
+                   for spec, q, qbar in ((m1, 0.5, 0.5), (m1, 1.0, 1.0), (m2, 4.0, 1.0),
+                                         (m3, 1.5, 0.5), (m3, 1.0, 1.0))]
+        tables += [sc._table(m4, q, branch="upper") for q in (1.0, 2.0)]
+        tables.append(sc._table(m5, 0.0, numerator="imm", theta=md.root_phi_q(m5, 0.0)))
+        return tables
+
+    def test_logw_matches_sequential_ladder(self, m1, m2, m3, m4, m5):
+        for tbl in self._tables(m1, m2, m3, m4, m5):
+            ref = _reference_logw(tbl)
+            assert np.array_equal(np.isneginf(tbl.logw), np.isneginf(ref))
+            fin = np.isfinite(ref)
+            assert np.all(np.isfinite(tbl.logw) == fin)
+            assert np.max(np.abs(tbl.logw[fin] - ref[fin])) <= 1e-13
+            # refinement level and node count as built panel by panel
+            assert (tbl.diagnostics.level, tbl.diagnostics.n_nodes) == (6, 769)
+            assert tbl.diagnostics.converged
