@@ -29,6 +29,8 @@ from .errors import DomainError, ModelError, NoImmigrationError
 _PMF_SUM_TOL = 1e-12
 #: |pgf'(varphi) - 1| below this is reported as critical tangency (diagnostic only).
 CRITICAL_TANGENCY_TOL = 1e-9
+#: Entries kept by each root cache (least recently used evicted).
+_ROOT_CACHE_MAX = 1024
 
 
 def _as_float_array(pmf: dict[int, float], lo: int) -> tuple[int, np.ndarray]:
@@ -394,7 +396,7 @@ def _bisect_newton(f, fprime, lo: float, hi: float, tol: float) -> float:
     return x
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ROOT_CACHE_MAX)
 def root_varphi(spec: ModelSpec, tol: float = 1e-13) -> float:
     """Smallest root of p~(z) = z in (0,1]; exactly 1 unless supercritical."""
     require_valid(spec)
@@ -409,7 +411,7 @@ def root_varphi(spec: ModelSpec, tol: float = 1e-13) -> float:
     return _bisect_newton(f, fp, _BRACKET_EPS, 1.0 - _BRACKET_EPS, tol)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ROOT_CACHE_MAX)
 def root_phi_q(spec: ModelSpec, q: float, tol: float = 1e-13) -> float:
     """Root phi_q of q = mu*(r~(z)-1); 0 when mu*r_-1 = 0; for q = 0 the smaller
     root phi of r~(z) = 1 in (0,1] (1 if no interior root exists)."""
@@ -429,7 +431,7 @@ def root_phi_q(spec: ModelSpec, q: float, tol: float = 1e-13) -> float:
     return _bisect_newton(f, fp, _BRACKET_EPS, 1.0 - _BRACKET_EPS, tol)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ROOT_CACHE_MAX)
 def root_varphi_qbar(spec: ModelSpec, qbar: float, tol: float = 1e-13) -> float:
     """Unique root of (lam+qbar)/lam = p~(z)/z in (0,1) for qbar > 0; varphi at qbar = 0."""
     require_valid(spec)

@@ -83,6 +83,14 @@ _G_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 
 _BLOCK = 512  # panels per integrand call: bounds the working set of a level
 
+# The temporaries of one integrand call on a block span about 1 MiB.  glibc
+# returns the top of the heap to the system once more than its trim threshold
+# (128 KiB at start) lies free there, so every call would fault those pages
+# in again.  Freeing one memory-mapped block raises the mmap threshold to its
+# size and the trim threshold to twice that, which keeps the block working
+# set on the heap.
+np.empty(1 << 17)
+
 
 def gk_panels(g: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
               abs_tol: float, rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

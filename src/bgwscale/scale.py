@@ -37,6 +37,10 @@ _LOG_CUT = 180.0      # stop extending the ladder once terms fall this far (in l
 _DIVERGENCE_LOG = 500.0
 
 _PROBE_XS = (0, 1, 8, 24)
+#: (x, a) probes of end-anchored tables, which serve mean passage times: the
+#: raw integral there grows without bound as the step shrinks, the served
+#: differences do not.
+_PROBE_PASSAGES = ((1, 0), (8, 7), (24, 23), (24, 0))
 
 
 @dataclass
@@ -78,7 +82,8 @@ class ScaleTable:
         prev = None
         for level in range(5, 10):
             self._build_level(level)
-            probes = np.array([self._raw_value(x) for x in _PROBE_XS])
+            probes = np.array([self.value_mean_passage(x, a) for x, a in _PROBE_PASSAGES]
+                              if self.anchor_end else [self._raw_value(x) for x in _PROBE_XS])
             if prev is not None:
                 scale = np.maximum(np.abs(probes), 1e-300)
                 err = float(np.max(np.abs(probes - prev) / scale))
@@ -252,6 +257,8 @@ class ScaleTable:
 # table cache
 # ---------------------------------------------------------------------------
 
+#: Tables kept; inserting beyond this evicts the oldest (insertion order).
+_CACHE_MAX = 128
 _CACHE: dict = {}
 _CACHE_LOCK = threading.Lock()
 
@@ -268,6 +275,8 @@ def _table(spec: md.ModelSpec, q: float, *, qbar: float = 0.0, branch: str = "lo
             tbl = _CACHE.get(key)
             if tbl is None:
                 tbl = ScaleTable(spec, q, qbar, branch, numerator, theta, anchor_end, cfg)
+                if len(_CACHE) >= _CACHE_MAX:
+                    del _CACHE[next(iter(_CACHE))]
                 _CACHE[key] = tbl
     return tbl
 

@@ -8,6 +8,10 @@ Randomness is counter-based: every uniform is a pure hash of
 (seed, path index, per-path event index, slot), so replications are
 order-independent, runs are reproducible bit-for-bit regardless of batch
 layout, and two estimators driven by the same seed consume identical paths.
+
+Sibuya jump sizes beyond K = 64 are inverted with scipy's ``gammaln``; scipy
+is imported on the first such draw only, so importing the package (and every
+analytic CLI command) never loads it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import model as md
 from .errors import AdmissibilityError, DomainError, PreconditionError
@@ -118,6 +121,8 @@ def _sibuya_tables(alpha: float) -> np.ndarray:
 
 
 def _sibuya_log_surv(k: np.ndarray, alpha: float) -> np.ndarray:
+    from scipy.special import gammaln  # deferred: only tail draws need scipy
+
     return gammaln(k + 1.0 - alpha) - gammaln(k + 1.0) - math.lgamma(1.0 - alpha)
 
 
@@ -302,10 +307,12 @@ def _run_batch(spec: md.ModelSpec, x0: int, a: int, cfg: SimConfig,
 
         area = area + pop * (t_next - t)
         t = t_next
-        u1 = _u01(cfg.seed, pid, steps, 1)
         u2 = _u01(cfg.seed, pid, steps, 2)
+        if mu_eff > 0.0:
+            branching = _u01(cfg.seed, pid, steps, 1) < lam * pop / rate
+        else:
+            branching = np.ones(pid.size, dtype=bool)
         steps = steps + 1
-        branching = u1 < lam * pop / rate if mu_eff > 0.0 else np.ones(pid.size, dtype=bool)
         jump = np.empty(pid.size, dtype=np.int64)
         if np.any(branching):
             jump[branching] = off.draw(u2[branching]) - 1

@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate as sci
 
 from bgwscale import model as md
+from bgwscale import passage as ps
 from bgwscale import quad
 from bgwscale import scale as sc
 from bgwscale.errors import DomainError, PreconditionError, UnsupportedRegimeError
@@ -287,3 +288,62 @@ class TestBatchedBuild:
             # refinement level and node count as built panel by panel
             assert (tbl.diagnostics.level, tbl.diagnostics.n_nodes) == (6, 769)
             assert tbl.diagnostics.converged
+
+
+def _bd_mean_passage(lam, p0, p2, mu_up, x, a):
+    """Birth-death series E_x[T_a] = sum_{y=a+1}^x sum_{k>=y} prod_{j=y}^{k-1} b(j) / prod_{j=y}^k d(j)."""
+    def b(y):
+        return lam * p2 * y + mu_up
+
+    def d(y):
+        return lam * p0 * y
+
+    total = 0.0
+    for y in range(a + 1, x + 1):
+        term = 1.0 / d(y)
+        terms, k = [term], y
+        while term > 1e-20 * terms[0]:
+            term *= b(k) / d(k + 1)
+            terms.append(term)
+            k += 1
+        total += math.fsum(terms)
+    return total
+
+
+class TestMeanPassageTable:
+    """End-anchored tables probe the mean passage times they serve."""
+
+    @pytest.mark.parametrize("name, mu_up", [("m1", 0.0), ("m3", 1.0)])
+    def test_converges_at_level_6(self, request, name, mu_up):
+        spec = request.getfixturevalue(name)
+        lam = spec.lam
+        for x, a in ((1, 0), (2, 1), (8, 7), (24, 23), (24, 0), (40, 3)):
+            want = _bd_mean_passage(lam, 0.75, 0.25, mu_up, x, a)
+            assert ps.mean_first_passage(spec, x, a) == pytest.approx(want, rel=1e-12)
+        theta = md.root_phi_q(spec, 0.0) if spec.mu > 0.0 else 0.0
+        tbl = sc._table(spec, 0.0, numerator="imm", theta=theta, anchor_end=True)
+        assert tbl.diagnostics.converged
+        assert tbl.diagnostics.level <= 6
+        assert tbl.diagnostics.achieved_error <= sc.DEFAULT_CFG.rel_tol
+
+
+class TestTableCache:
+    def test_bounded_with_identical_rebuild(self, monkeypatch, m1):
+        assert sc._CACHE_MAX > 21  # the warm passage benchmark prebuilds 21 tables
+        monkeypatch.setattr(sc, "_CACHE", {})
+        monkeypatch.setattr(sc, "_CACHE_MAX", 4)
+        qs = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
+        first = sc._table(m1, qs[0])
+        for q in qs[1:]:
+            sc._table(m1, q)
+            assert len(sc._CACHE) == min(qs.index(q) + 1, 4)
+        assert [key[1] for key in sc._CACHE] == list(qs[2:])
+        again = sc._table(m1, qs[0])
+        assert again is not first
+        assert np.array_equal(again.logw, first.logw)
+        assert again.value(qs[0], 7) == first.value(qs[0], 7)
+        assert len(sc._CACHE) == 4
+
+    def test_root_caches_bounded(self):
+        for fn in (md.root_varphi, md.root_phi_q, md.root_varphi_qbar):
+            assert fn.cache_info().maxsize is not None
