@@ -38,17 +38,12 @@ class ControlProblem:
                 "q = 0 requires supercritical branching (value is infinite otherwise)")
 
 
-def _phi(problem: ControlProblem, y: int, cfg: QuadConfig) -> float:
-    if problem.q == 0.0:
-        return md.root_varphi(problem.spec) ** y
-    return sc.phi_q_fn(problem.spec, problem.q, y, cfg)
-
-
 def barrier_gap(problem: ControlProblem, a: int, cfg: QuadConfig = DEFAULT_CFG) -> float:
     """B(a) = Phi_q(a) - Phi_q(a+1) > 0; maximal at the floor."""
     if a < problem.floor:
         raise PreconditionError("barrier must sit at or above the floor")
-    return _phi(problem, a, cfg) - _phi(problem, a + 1, cfg)
+    spec, q = problem.spec, problem.q
+    return sc.phi_fn(spec, q, a, cfg) - sc.phi_fn(spec, q, a + 1, cfg)
 
 
 def barrier_value(problem: ControlProblem, a: int, x: int,
@@ -57,9 +52,10 @@ def barrier_value(problem: ControlProblem, a: int, x: int,
     if x < 0 or x != int(x):
         raise DomainError("x must be a nonnegative integer")
     gap = barrier_gap(problem, a, cfg)
+    spec, q = problem.spec, problem.q
     if x > a:
-        return _phi(problem, x, cfg) / gap
-    return a + 1 - x + _phi(problem, a + 1, cfg) / gap
+        return sc.phi_fn(spec, q, x, cfg) / gap
+    return a + 1 - x + sc.phi_fn(spec, q, a + 1, cfg) / gap
 
 
 def optimal_value(problem: ControlProblem, x: int, cfg: QuadConfig = DEFAULT_CFG) -> float:
@@ -83,7 +79,7 @@ def verify_bellman(problem: ControlProblem, x_max: int, f_max: int,
     """
     fl = problem.floor
     B = barrier_gap(problem, fl, cfg)
-    phi = lambda y: _phi(problem, y, cfg)
+    phi = lambda y: sc.phi_fn(problem.spec, problem.q, y, cfg)
     rhs_low = fl + 1 + phi(fl + 1) / B
     tol = 1e-9 * max(1.0, rhs_low)
     for x in range(0, fl + 1):

@@ -33,10 +33,6 @@ def _check_levels(x: int, a: int) -> tuple[int, int]:
     return int(x), int(a)
 
 
-def _phi(spec: md.ModelSpec, q: float, x: int, cfg: QuadConfig) -> float:
-    return sc.phi_0_fn(spec, x, cfg) if q == 0.0 else sc.phi_q_fn(spec, q, x, cfg)
-
-
 def lt_first_passage(spec: md.ModelSpec, q: float, x: int, a: int,
                      cfg: QuadConfig = DEFAULT_CFG) -> float:
     """P_x[e^{-q T_a^-}; T_a^- < inf] = Phi_q(x)/Phi_q(a), for phi_q <= varphi."""
@@ -45,7 +41,7 @@ def lt_first_passage(spec: md.ModelSpec, q: float, x: int, a: int,
         raise DomainError("q must be >= 0")
     if x == a:
         return 1.0
-    return _phi(spec, q, x, cfg) / _phi(spec, q, a, cfg)
+    return sc.phi_fn(spec, q, x, cfg) / sc.phi_fn(spec, q, a, cfg)
 
 
 def prob_passage(spec: md.ModelSpec, x: int, a: int, cfg: QuadConfig = DEFAULT_CFG) -> float:
@@ -160,7 +156,7 @@ def atmin_law(spec: md.ModelSpec, q: float, x: int, cfg: QuadConfig = DEFAULT_CF
     x = int(x)
     if q < 0.0:
         raise DomainError("q must be >= 0")
-    vals = [_phi(spec, q, k, cfg) for k in range(x + 1)]
+    vals = [sc.phi_fn(spec, q, k, cfg) for k in range(x + 1)]
     fx = vals[x]
     pmf = []
     for k in range(x + 1):
@@ -178,8 +174,8 @@ def atmin_lt_G(spec: md.ModelSpec, q: float, alpha: float, x: int, k: int,
         raise DomainError("need 0 <= k <= x")
     if alpha == 0.0 or k == x:
         return 1.0
-    return (_phi(spec, q + alpha, x, cfg) / _phi(spec, q, x, cfg)
-            * _phi(spec, q, k, cfg) / _phi(spec, q + alpha, k, cfg))
+    return (sc.phi_fn(spec, q + alpha, x, cfg) / sc.phi_fn(spec, q, x, cfg)
+            * sc.phi_fn(spec, q, k, cfg) / sc.phi_fn(spec, q + alpha, k, cfg))
 
 
 def atmin_lt_residual(spec: md.ModelSpec, q: float, alpha: float, x: int, k: int,
@@ -196,8 +192,8 @@ def atmin_lt_residual(spec: md.ModelSpec, q: float, alpha: float, x: int, k: int
     head = q / (q + alpha)
     if k == 0:
         return head
-    num = 1.0 - _phi(spec, q + alpha, k, cfg) / _phi(spec, q + alpha, k - 1, cfg)
-    den = 1.0 - _phi(spec, q, k, cfg) / _phi(spec, q, k - 1, cfg)
+    num = 1.0 - sc.phi_fn(spec, q + alpha, k, cfg) / sc.phi_fn(spec, q + alpha, k - 1, cfg)
+    den = 1.0 - sc.phi_fn(spec, q, k, cfg) / sc.phi_fn(spec, q, k - 1, cfg)
     return head * num / den
 
 
@@ -242,7 +238,7 @@ def conditioned_generator(spec: md.ModelSpec, q: float, x_max: int,
 
     def phi(y: int) -> float:
         if y not in phi_cache:
-            phi_cache[y] = _phi(spec, q, y, cfg)
+            phi_cache[y] = sc.phi_fn(spec, q, y, cfg)
         return phi_cache[y]
 
     leave, rows = [], []

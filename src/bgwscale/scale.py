@@ -414,6 +414,11 @@ def phi_0_fn(spec: md.ModelSpec, x: int, cfg: QuadConfig = DEFAULT_CFG) -> float
     return varphi ** x
 
 
+def phi_fn(spec: md.ModelSpec, q: float, x: int, cfg: QuadConfig = DEFAULT_CFG) -> float:
+    """Phi_q(x) for any q >= 0: phi_0_fn at q = 0, phi_q_fn otherwise (q < 0 is a DomainError)."""
+    return phi_0_fn(spec, x, cfg) if q == 0.0 else phi_q_fn(spec, q, x, cfg)
+
+
 def phi_q_qbar_fn(spec: md.ModelSpec, q: float, qbar: float, x: int,
                   cfg: QuadConfig = DEFAULT_CFG) -> float:
     """Phi_{q,qbar}(x): joint discount/accumulated-population scale function."""

@@ -222,3 +222,128 @@ class TestDeterminism:
         outs = [subprocess.run(cmd, capture_output=True, check=True).stdout
                 for _ in range(2)]
         assert outs[0] == outs[1]
+
+
+def _spec(model_dir, name):
+    from bgwscale import model as md
+    return md.load_model(str(model_dir / f"{name}.json"))
+
+
+class TestLevelOption:
+    @pytest.mark.parametrize("args", [
+        ["scale", "--x", "abc"],
+        ["scale", "--x", "1.5"],
+        ["scale", "--x", "5..3"],
+        ["scale", "--x", "1.."],
+        ["control", "gap", "--q", "0.5", "--a", "x"],
+        ["passage", "lt", "--q", "1", "--x", "0..", "--a", "0"],
+    ])
+    def test_malformed_levels_are_usage_errors(self, runner, model_dir, args):
+        r = _invoke(runner, [*args, "--model", str(model_dir / "m1.json")])
+        assert r.exit_code == 64
+        assert r.stdout == ""
+        assert "lo..hi" in r.stderr or "empty range" in r.stderr
+
+    def test_control_gap_range_matches_library(self, runner, model_dir):
+        from bgwscale import control as ctl
+        r = _invoke(runner, ["control", "gap", "--model", str(model_dir / "m1.json"),
+                             "--q", "0.5", "--a", "0..4"])
+        assert r.exit_code == 0
+        prob = ctl.ControlProblem(_spec(model_dir, "m1"), 0, 0.5)
+        want = {"value": {str(a): ctl.barrier_gap(prob, a) for a in range(5)}}
+        assert r.stdout == json.dumps(want) + "\n"
+
+    def test_explosion_transform_matches_library(self, runner, model_dir):
+        from bgwscale import passage as ps
+        r = _invoke(runner, ["passage", "explosion", "--model", str(model_dir / "m4.json"),
+                             "--q", "1", "--x", "3", "--a", "1"])
+        assert r.exit_code == 0
+        want = ps.lt_explosion_before(_spec(model_dir, "m4"), 1.0, 3, 1)
+        assert r.stdout == json.dumps({"value": want}) + "\n"
+        assert 0.0 < want < 1.0
+
+    def test_csv_matches_library(self, runner, model_dir):
+        from bgwscale import control as ctl
+        from bgwscale import passage as ps
+        m1 = _spec(model_dir, "m1")
+        r = _invoke(runner, ["passage", "lt", "--model", str(model_dir / "m1.json"),
+                             "--q", "0.5", "--x", "1..4", "--a", "1", "--out", "csv"])
+        want = ["x,value"] + [f"{x},{ps.lt_first_passage(m1, 0.5, x, 1)!r}" for x in range(1, 5)]
+        assert (r.exit_code, r.stdout) == (0, "\n".join(want) + "\n")
+        r = _invoke(runner, ["control", "gap", "--model", str(model_dir / "m1.json"),
+                             "--q", "0.5", "--a", "0..3", "--out", "csv"])
+        prob = ctl.ControlProblem(m1, 0, 0.5)
+        want = ["a,value"] + [f"{a},{ctl.barrier_gap(prob, a)!r}" for a in range(4)]
+        assert (r.exit_code, r.stdout) == (0, "\n".join(want) + "\n")
+
+
+class TestNegativeRates:
+    """A negative rate is outside every function's domain: exit 64, never a q = 0 answer."""
+
+    @pytest.mark.parametrize("model,args", [
+        ("m1", ["scale", "--q", "-1", "--x", "1"]),
+        ("m4", ["passage", "explosion", "--q", "-1", "--x", "1", "--a", "0"]),
+        ("m3", ["passage", "atmin", "--q", "1", "--x", "3", "--alpha", "-1"]),
+    ])
+    def test_exit64(self, runner, model_dir, model, args):
+        r = _invoke(runner, [*args, "--model", str(model_dir / f"{model}.json")])
+        assert r.exit_code == 64
+        assert r.stdout == ""
+
+
+#: (option, default, required) per command, in display order.
+COMMAND_TREE = {
+    'control bellman': [('--model', None, True), ('--q', None, True), ('--floor', 0, False),
+                        ('--x-max', 12, False), ('--f-max', 12, False), ('--tol', 1e-10, False)],
+    'control gap': [('--model', None, True), ('--q', None, True), ('--floor', 0, False),
+                    ('--a', None, True), ('--tol', 1e-10, False), ('--out', 'json', False)],
+    'control simulate': [('--model', None, True), ('--q', None, True), ('--floor', 0, False),
+                         ('--policy', 'barrier', False), ('--level', 0, False),
+                         ('--x', None, True), ('--paths', 10000, False), ('--seed', 0, False),
+                         ('--max-jumps', 1000000, False), ('--threshold', 1000000, False)],
+    'control value': [('--model', None, True), ('--q', None, True), ('--floor', 0, False),
+                      ('--x', None, True), ('--tol', 1e-10, False), ('--out', 'json', False)],
+    'model check': [('--model', None, True)],
+    'model classify': [('--model', None, True)],
+    'passage atmin': [('--model', None, True), ('--q', None, True), ('--x', None, True),
+                      ('--alpha', 0.0, False), ('--tol', 1e-10, False), ('--out', 'json', False)],
+    'passage avalanche': [('--model', None, True), ('--q', None, True), ('--qbar', None, True),
+                          ('--x', None, True), ('--a', None, True), ('--tol', 1e-10, False),
+                          ('--out', 'json', False)],
+    'passage condition': [('--model', None, True), ('--q', None, True), ('--x-max', 5, False),
+                          ('--tol', 1e-10, False)],
+    'passage explosion': [('--model', None, True), ('--q', 0.0, False), ('--x', None, True),
+                          ('--a', None, True), ('--mean', False, False), ('--tol', 1e-10, False),
+                          ('--out', 'json', False)],
+    'passage lt': [('--model', None, True), ('--q', None, True), ('--x', None, True),
+                   ('--a', None, True), ('--tol', 1e-10, False), ('--out', 'json', False)],
+    'passage mean': [('--model', None, True), ('--x', None, True), ('--a', None, True),
+                     ('--tol', 1e-10, False), ('--out', 'json', False)],
+    'passage prob': [('--model', None, True), ('--x', None, True), ('--a', None, True),
+                     ('--tol', 1e-10, False), ('--out', 'json', False)],
+    'passage tilt': [('--model', None, True), ('--qbar', None, True)],
+    'scale': [('--model', None, True), ('--fn', 'phi', False), ('--q', 0.0, False),
+              ('--qbar', 0.0, False), ('--x', '1', False), ('--tol', 1e-10, False),
+              ('--out', 'json', False)],
+    'simulate': [('--model', None, True), ('--kind', 'lt', False), ('--q', 0.0, False),
+                 ('--qbar', 0.0, False), ('--x', None, True), ('--a', 0, False),
+                 ('--paths', 10000, False), ('--seed', 0, False), ('--max-jumps', 1000000, False),
+                 ('--threshold', 1000000, False), ('--horizon', math.inf, False)],
+    'verify': [('--model', None, True), ('--suite', None, True), ('--paths', 20000, False),
+               ('--seed', 7, False), ('--q', 0.5, False), ('--floor', 0, False)],
+}
+
+
+def test_command_tree_snapshot():
+    import click
+
+    def walk(cmd, path):
+        if isinstance(cmd, click.Group):
+            for name in sorted(cmd.commands):
+                yield from walk(cmd.commands[name], path + (name,))
+        else:
+            yield " ".join(path), [
+                (p.opts[0], p.default if isinstance(p.default, (int, float, str)) else None,
+                 p.required) for p in cmd.params]
+
+    assert dict(walk(main, ())) == COMMAND_TREE

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bgwscale import control as ctl
+from bgwscale import model as md
 from bgwscale.errors import PreconditionError
 
 LOG15 = math.log(1.5)
@@ -32,6 +33,12 @@ class TestBarrier:
         assert ctl.barrier_gap(prob_m1, 0) == pytest.approx(1 - PHI1, rel=1e-11)
         assert ctl.barrier_gap(prob_m1, 1) == pytest.approx(PHI1 - PHI2, rel=1e-11)
         assert ctl.barrier_gap(prob_m1, 1) < ctl.barrier_gap(prob_m1, 0)
+
+    def test_gap_q0_is_power_difference(self, m2prime):
+        p0 = ctl.ControlProblem(m2prime, 0, 0.0)
+        varphi = md.root_varphi(m2prime)
+        for a in range(8):
+            assert ctl.barrier_gap(p0, a) == varphi ** a - varphi ** (a + 1)
 
     def test_gap_decreasing(self, m1, m2prime):
         for q in (0.25, 0.5, 2.0):

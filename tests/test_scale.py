@@ -347,3 +347,15 @@ class TestTableCache:
     def test_root_caches_bounded(self):
         for fn in (md.root_varphi, md.root_phi_q, md.root_varphi_qbar):
             assert fn.cache_info().maxsize is not None
+
+
+class TestPhiFn:
+    def test_dispatch(self, m1, m3, m4):
+        for spec in (m1, m3, m4):
+            for x in (0, 1, 5):
+                assert sc.phi_fn(spec, 0.0, x) == sc.phi_0_fn(spec, x)
+                assert sc.phi_fn(spec, 1.5, x) == sc.phi_q_fn(spec, 1.5, x)
+
+    def test_negative_q_is_domain_error(self, m1):
+        with pytest.raises(DomainError):
+            sc.phi_fn(m1, -1.0, 1)
