@@ -579,15 +579,23 @@ class GapEvaluator:
             self.p0 = off.p0
             self.alpha = off.alpha
 
+    def ratio(self, num, v, d_root, d_one):
+        """num / D(v), with d_root and d_one as for :meth:`den`.
+
+        At a double root D = d_root**2 * q2(v) is never formed: it turns
+        subnormal near the root while num/d_root and d_root*q2(v) stay normal.
+        """
+        if self.double_root:
+            return num / d_root / (d_root * np.polynomial.polynomial.polyval(v, self.q2))
+        return num / self.den(v, d_root, d_one)
+
     def den(self, v, d_root, d_one):
-        """D(v) with d_root = root - v (signed) and d_one = 1 - v supplied exactly."""
+        """D(v) near a simple root, with d_root = root - v (signed) and
+        d_one = 1 - v supplied exactly (use :meth:`ratio` at a double root)."""
         v = np.asarray(v, dtype=float)
         d_root = np.asarray(d_root, dtype=float)
         if self.kind == "tabular":
-            q1 = np.polynomial.polynomial.polyval(v, self.q1)
-            if self.double_root:
-                return d_root * d_root * np.polynomial.polynomial.polyval(v, self.q2)
-            return -d_root * q1
+            return -d_root * np.polynomial.polynomial.polyval(v, self.q1)
         # sibuya_mix: lam*(u - (1-p0) u^alpha) - qbar*(1-u), u = 1-v, root at ustar.
         # The direct expression cancels only near the root (u ~ ustar); there,
         # expand D(u) - D(ustar) with d_root = u - ustar carried exactly.

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import model as md
 from . import scale as sc
-from .errors import DomainError, PreconditionError, UnsupportedRegimeError
+from .errors import DomainError, PreconditionError
 from .quad import DEFAULT_CFG, QuadConfig
 
 __all__ = [
@@ -49,17 +49,13 @@ def prob_passage(spec: md.ModelSpec, x: int, a: int, cfg: QuadConfig = DEFAULT_C
     return lt_first_passage(spec, 0.0, x, a, cfg)
 
 
-def certain_extinction(spec: md.ModelSpec, cfg: QuadConfig = DEFAULT_CFG) -> bool:
-    """Whether P_x(T_0^- < inf) = 1 for all x: varphi = 1 and (mu = 0, or phi = 1,
-    or the q = 0 scale integral diverges)."""
+def certain_extinction(spec: md.ModelSpec) -> bool:
+    """Whether P_x(T_0^- < inf) = 1 for all x: varphi = 1 and Phi_0 is the power
+    function (mu = 0, phi = 1, or a divergent q = 0 scale integral).  The
+    decision is the closed-form rule of ``scale._phi0_uses_integral``; no
+    quadrature runs."""
     md.require_valid(spec)
-    varphi = md.root_varphi(spec)
-    phi = md.root_phi_q(spec, 0.0)
-    if phi > varphi + sc.BOUNDARY_TIE_TOL:
-        raise UnsupportedRegimeError("phi <= varphi", f"phi={phi!r} > varphi={varphi!r}")
-    if varphi < 1.0:
-        return False
-    return not sc._phi0_uses_integral(spec, cfg)
+    return not sc._phi0_uses_integral(spec) and md.root_varphi(spec) == 1.0
 
 
 def lt_explosion_before(spec: md.ModelSpec, q: float, x: int, a: int,
@@ -93,7 +89,7 @@ def mean_first_passage(spec: md.ModelSpec, x: int, a: int,
     x, a = _check_levels(x, a)
     if a >= x:
         raise DomainError("need a < x")
-    if not certain_extinction(spec, cfg):
+    if not certain_extinction(spec):
         raise PreconditionError("mean_first_passage requires certain extinction")
     phi = md.root_phi_q(spec, 0.0)
     if phi >= 1.0:
@@ -280,7 +276,7 @@ def conditioned_generator(spec: md.ModelSpec, q: float, x_max: int,
 _TILT_TAIL_TOL = 1e-12
 
 
-def tilted_model(spec: md.ModelSpec, qbar: float, cfg: QuadConfig = DEFAULT_CFG) -> md.ModelSpec:
+def tilted_model(spec: md.ModelSpec, qbar: float) -> md.ModelSpec:
     """Exponentially tilted model: offspring p_k -> p_k v^k / p~(v), rate lam+qbar,
     immigration r_k -> r_k v^k / r~(v), rate mu*r~(v), with v = varphi_qbar.
 

@@ -36,13 +36,10 @@ __all__ = [
 class QuadConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-13
-    max_depth: int = 60
 
     def __post_init__(self):
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise DomainError("tolerances must be > 0")
-        if self.max_depth < 1:
-            raise DomainError("max_depth must be >= 1")
 
 
 DEFAULT_CFG = QuadConfig()
@@ -112,24 +109,41 @@ def gk_panels(g: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndar
     return k, err, ~ok
 
 
+#: G7/K15 steps one gk_adaptive call may take before it refuses.  A smooth
+#: integrand needs a few dozen; one whose values are noisy at the panel scale
+#: would otherwise subdivide until panels are ~1e-17 wide.
+MAX_PANELS = 1000
+
+
 def gk_adaptive(g: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                abs_tol: float, rel_tol: float, max_depth: int = 60) -> tuple[float, float]:
-    """Adaptive G7/K15 of a vectorized integrand over [a, b]."""
+                abs_tol: float, rel_tol: float) -> tuple[float, float]:
+    """Adaptive G7/K15 of a vectorized integrand over [a, b].
+
+    Raises QuadratureError once MAX_PANELS steps leave panels unresolved.
+    """
     if a == b:
         return 0.0, 0.0
     sign, a, b = (1.0, a, b) if a < b else (-1.0, b, a)
-    stack = [(a, b, 0, abs_tol)]
+    stack = [(a, b, abs_tol)]
     total = total_err = 0.0
-    while stack:
-        lo, hi, depth, tol = stack.pop()
+    for _ in range(MAX_PANELS):
+        if not stack:
+            break
+        lo, hi, tol = stack.pop()
         k, err, fail = gk_panels(g, np.array([lo]), np.array([hi]), tol, rel_tol)
-        if fail[0] and depth < max_depth:
+        if fail[0]:
             mid = 0.5 * (lo + hi)
-            stack.append((lo, mid, depth + 1, 0.5 * tol))
-            stack.append((mid, hi, depth + 1, 0.5 * tol))
+            stack.append((lo, mid, 0.5 * tol))
+            stack.append((mid, hi, 0.5 * tol))
         else:
             total += float(k[0])
             total_err += float(err[0])
+    if stack:
+        lo, hi, _ = np.array(stack).T
+        k, err, _ = gk_panels(g, lo, hi, abs_tol, rel_tol)
+        raise QuadratureError("adaptive Gauss-Kronrod left panels unresolved after "
+                              f"{MAX_PANELS} steps", sign * (total + float(np.sum(k))),
+                              total_err + float(np.sum(err)))
     return sign * total, total_err
 
 
@@ -308,16 +322,14 @@ def make_gamma_t(spec: md.ModelSpec, q: float, chart: TSMap, *,
         else:
             d_root = p.db           # root (= U) sits at the right endpoint
             d_one = p.db if b_is_one else 1.0 - p.v
-        den = gap.den(p.v, d_root, d_one)
-        if upper:
-            den = -den
         if numerator == "unit":
             num = np.ones_like(p.v)
         else:
             num = np.zeros_like(p.v) if numerator == "imm" else np.full_like(p.v, q)
             if has_imm:
                 num = num + mu * imm.one_minus_pgf(p.v, d_one)
-        return num / den * p.dvdt
+        gamma = gap.ratio(num, p.v, d_root, d_one)
+        return (-gamma if upper else gamma) * p.dvdt
 
     return g
 
@@ -332,8 +344,7 @@ def _gamma_integral(spec: md.ModelSpec, q: float, w_from: float, w_to: float,
     else:
         chart = TSMap(0.0, md.root_varphi_qbar(spec, qbar))
     g = make_gamma_t(spec, q, chart, qbar=qbar, numerator=numerator, upper=upper)
-    val, _ = gk_adaptive(g, chart.t_of(w_from), chart.t_of(w_to), 1e-15, 0.1 * cfg.rel_tol,
-                         cfg.max_depth)
+    val, _ = gk_adaptive(g, chart.t_of(w_from), chart.t_of(w_to), 1e-15, 0.1 * cfg.rel_tol)
     return val
 
 

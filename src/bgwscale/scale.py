@@ -35,6 +35,8 @@ BOUNDARY_TIE_TOL = 1e-9
 
 _LOG_CUT = 180.0      # stop extending the ladder once terms fall this far (in log) below the peak
 _DIVERGENCE_LOG = 500.0
+#: log of the distance from 1 of the last node of the (0, 1) chart
+_LOG_U_END = -math.pi * math.sinh(T_MAX)
 
 _PROBE_XS = (0, 1, 8, 24)
 #: (x, a) probes of end-anchored tables, which serve mean passage times: the
@@ -173,7 +175,7 @@ class ScaleTable:
 
     def _panel(self, t0: float, t1: float) -> float:
         """int_{t0}^{t1} gamma dt in the chart variable (oriented)."""
-        return gk_adaptive(self.gamma_t, t0, t1, 1e-15, 1e-13, self.cfg.max_depth)[0]
+        return gk_adaptive(self.gamma_t, t0, t1, 1e-15, 1e-13)[0]
 
     def _log_abs_den(self, v, d_root, log_abs_droot, d_one):
         gap = self.gap
@@ -323,10 +325,30 @@ def psi_q_fn(spec: md.ModelSpec, q: float, x: int, cfg: QuadConfig = DEFAULT_CFG
     return 1.0 - _table(spec, q, branch="upper", cfg=cfg).value(q, x)
 
 
-def _phi0_uses_integral(spec: md.ModelSpec, cfg: QuadConfig) -> bool:
-    """Case split for Phi_0: the mu-weighted integral when it converges
-    (or when varphi < 1), the power function varphi^x otherwise."""
-    if spec.mu == 0.0 or not spec.has_immigration:
+def _phi0_exponent(spec: md.ModelSpec) -> float:
+    """Exponent s with Phi_0 integrand ~ u^(s-1) as u = 1 - v -> 0, for varphi = 1.
+
+    At a simple root of D at 1, gamma_0 = N/D stays finite because
+    N(1) = mu*(1 - r~(1)) = 0: s = 0.  At the double root of critical tabular
+    offspring, D ~ lam p~''(1) u^2/2 and N ~ mu r~'(1) u, so gamma_0 ~ k/u with
+    k = 2 mu r~'(1)/(lam p~''(1)) and s = k - 1.  Sibuya immigration has
+    N ~ mu u^alpha, so the weight decays faster than any power: s = inf.
+    """
+    off = spec.offspring
+    if off.mean() < 1.0:
+        return 0.0
+    if spec.immigration.kind == "sibuya":
+        return math.inf
+    curvature = sum(k * (k - 1) * p for k, p in enumerate(off.pmf))
+    return 2.0 * spec.mu * spec.immigration.drift_at_one() / (spec.lam * curvature) - 1.0
+
+
+def _phi0_uses_integral(spec: md.ModelSpec) -> bool:
+    """Case split for Phi_0, in closed form: the mu-weighted integral when it
+    converges, the power function varphi^x otherwise.  Below varphi < 1 it
+    converges (mu*(1 - r~(varphi)) > 0 there); at varphi = 1 iff s > 0 in
+    ``_phi0_exponent``."""
+    if not spec.has_immigration:
         return False
     varphi = md.root_varphi(spec)
     phi = md.root_phi_q(spec, 0.0)
@@ -334,84 +356,31 @@ def _phi0_uses_integral(spec: md.ModelSpec, cfg: QuadConfig) -> bool:
         raise UnsupportedRegimeError("phi <= varphi", f"phi={phi!r} > varphi={varphi!r}")
     if abs(phi - varphi) <= BOUNDARY_TIE_TOL:
         return False
-    if varphi < 1.0:
-        return True  # mu*(1 - r~(varphi)) > 0 here
-    return not _phi0_integral_diverges(spec, cfg)
-
-
-_PHI0_DIVERGES: dict = {}
-
-
-def _phi0_integral_diverges(spec: md.ModelSpec, cfg: QuadConfig) -> bool:
-    key = (spec, cfg)
-    if key not in _PHI0_DIVERGES:
-        _PHI0_DIVERGES[key] = _phi0_integral_diverges_impl(spec, cfg)
-    return _PHI0_DIVERGES[key]
-
-
-def _phi0_integral_diverges_impl(spec: md.ModelSpec, cfg: QuadConfig) -> bool:
-    """Decide finiteness of int_0^1 exp{-int_phi^v gamma_0}/D dv by tail-window
-    exponent extrapolation (windows (1-10^-j, 1-10^-j-1), j = 2..5).
-
-    For an integrand ~ (1-v)^(-s) the window ratio is 10^(s-1); s >= 1 means
-    divergence, so the threshold ratio 10^-0.1 classifies s > 0.9 as divergent.
-    The model families in scope yield s = 1 (log divergence), s > 1, or
-    super-polynomial decay, all far from the threshold.
-    """
-    varphi = md.root_varphi(spec)
-    assert varphi == 1.0
-    phi = md.root_phi_q(spec, 0.0)
-    chart = TSMap(0.0, 1.0)
-    gamma_t = make_gamma_t(spec, 0.0, chart, numerator="imm")
-    gap = md.GapEvaluator(spec, 0.0)
-
-    def gamma_v(u):  # gamma_0 as a function of u = 1-v
-        v = 1.0 - u
-        den = gap.den(v, u, u)
-        num = spec.mu * spec.immigration.one_minus_pgf(v, u)
-        return num / den
-
-    # base inner integral from phi up to v = 1 - 1e-2
-    t0 = chart.t_of(max(phi, 1e-300)) if phi > 0.0 else -T_MAX
-    base, _ = gk_adaptive(gamma_t, t0, chart.t_of(1.0 - 1e-2), 1e-14, 1e-12)
-    L = -base
-    windows = []
-    for j in range(2, 6):
-        u_hi, u_lo = 10.0 ** -j, 10.0 ** -(j + 1)
-        # walk the window in log-u steps, telescoping the inner integral
-        ss = np.linspace(math.log(u_hi), math.log(u_lo), 9)
-        wsum = 0.0
-        for s0, s1 in zip(ss[:-1], ss[1:]):
-            dL, _ = gk_adaptive(lambda s: gamma_v(np.exp(s)) * np.exp(s), s1, s0, 1e-16, 1e-10)
-            # integrate exp(L)/D over the sub-window in s
-            smid = 0.5 * (s0 + s1)
-            def f(s):
-                u = np.exp(s)
-                v = 1.0 - u
-                den = gap.den(v, u, u)
-                # linear interpolation of L in s is enough for a ratio test
-                frac = (s - s1) / (s0 - s1)
-                Ls = L - dL * (1.0 - frac)
-                return np.exp(Ls) / den * u
-            val, _ = gk_adaptive(f, s1, s0, 1e-300, 1e-8)
-            wsum += val
-            L -= dL  # moving toward u_lo accumulates -int gamma
-        windows.append(wsum)
-    w2, w3 = windows[-2], windows[-1]
-    if w3 == 0.0:
-        return False
-    return (w3 / w2) > 10.0 ** -0.1
+    return varphi < 1.0 or _phi0_exponent(spec) > 0.0
 
 
 def phi_0_fn(spec: md.ModelSpec, x: int, cfg: QuadConfig = DEFAULT_CFG) -> float:
-    """Phi_0(x): the q = 0 scale function (passage probabilities Phi_0(x)/Phi_0(a))."""
+    """Phi_0(x): the q = 0 scale function (passage probabilities Phi_0(x)/Phi_0(a)).
+
+    Phi_0 is the mu-weighted integral when that converges and varphi^x
+    otherwise, decided in closed form from the integrand's exponent s at the
+    root endpoint (``_phi0_uses_integral``).  At varphi = 1 the chart's last
+    node lies u_N ~ e^-634 from 1, and about u_N^s of the mass lies beyond it;
+    when that share exceeds ``cfg.rel_tol`` (s below ~0.036 at 1e-10) the call
+    raises QuadratureError.
+    """
     md.require_valid(spec)
     x = _check_x(x)
     varphi = md.root_varphi(spec)
-    if _phi0_uses_integral(spec, cfg):
-        phi = md.root_phi_q(spec, 0.0)
-        return _table(spec, 0.0, numerator="imm", theta=phi, cfg=cfg).value(spec.mu, x)
-    return varphi ** x
+    if not _phi0_uses_integral(spec):
+        return varphi ** x
+    if varphi == 1.0:
+        lost = math.exp(_phi0_exponent(spec) * _LOG_U_END)
+        if lost > cfg.rel_tol:
+            raise QuadratureError("Phi_0 integrand decays too slowly at v = 1 for the chart",
+                                  math.nan, lost)
+    phi = md.root_phi_q(spec, 0.0)
+    return _table(spec, 0.0, numerator="imm", theta=phi, cfg=cfg).value(spec.mu, x)
 
 
 def phi_fn(spec: md.ModelSpec, q: float, x: int, cfg: QuadConfig = DEFAULT_CFG) -> float:

@@ -1,4 +1,6 @@
+import contextlib
 import json
+import signal
 
 import pytest
 
@@ -62,3 +64,23 @@ def model_dir(tmp_path_factory, m1, m2, m3, m4, m5, m2prime):
            "immigration": {"type": "tabular", "pmf": {"-1": 1.0}}, "mu": 1.0}
     (d / "bad.json").write_text(json.dumps(bad))
     return d
+
+
+@pytest.fixture
+def time_limit():
+    """``with time_limit(s):`` fails the test once the block has run s whole
+    seconds (SIGALRM, main thread only), so a hang fails fast instead of
+    stalling the suite."""
+    @contextlib.contextmanager
+    def limit(seconds: int):
+        def expire(signum, frame):
+            pytest.fail(f"block still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(seconds)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+    return limit

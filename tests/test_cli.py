@@ -6,6 +6,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from bgwscale import model as md
 from bgwscale.cli import main
 
 
@@ -83,6 +84,16 @@ class TestPassageCommands:
                              "--q", "0.5", "--x", "1", "--a", "0"])
         assert r.exit_code == 2
         assert "phi_q" in r.stderr
+
+    def test_prob_refuses_slow_endpoint_decay(self, runner, tmp_path):
+        # critical binary offspring with r_1 = 1 and c = 2 mu/lam = 1.02: the
+        # q = 0 integrand decays like u^(c-2) at 1, too slowly for the chart
+        path = tmp_path / "crit.json"
+        md.dump_model(md.make_spec(md.OffspringLaw.tabular({0: 0.5, 2: 0.5}), 1.0,
+                                   md.ImmigrationLaw.tabular({1: 1.0}), 0.51), path)
+        r = _invoke(runner, ["passage", "prob", "--model", str(path), "--x", "1", "--a", "0"])
+        assert r.exit_code == 2
+        assert r.stdout == ""
 
     def test_usage_exit64(self, runner, model_dir):
         r = _invoke(runner, ["passage", "lt", "--model", str(model_dir / "m2.json"),
@@ -225,7 +236,6 @@ class TestDeterminism:
 
 
 def _spec(model_dir, name):
-    from bgwscale import model as md
     return md.load_model(str(model_dir / f"{name}.json"))
 
 

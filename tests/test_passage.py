@@ -6,7 +6,8 @@ import pytest
 from bgwscale import model as md
 from bgwscale import passage as ps
 from bgwscale import scale as sc
-from bgwscale.errors import DomainError, PreconditionError, UnsupportedRegimeError
+from bgwscale.errors import (DomainError, PreconditionError, QuadratureError,
+                             UnsupportedRegimeError)
 
 LOG15 = math.log(1.5)
 
@@ -54,6 +55,72 @@ class TestCertainExtinction:
     def test_m2_unsupported(self, m2):
         with pytest.raises(UnsupportedRegimeError):
             ps.certain_extinction(m2)
+
+
+def _birth_death_passage(alpha: float, beta: float, x: int, a: int) -> float:
+    """P_x(T_a < inf) = T(x)/T(a) for a birth-death chain with death/birth
+    ratio (i + alpha)/(i + beta) in state i >= 1 and beta - alpha > 1:
+    T(k) = beta/(beta - alpha - 1) - sum_{j<k} rho_j with
+    rho_j = prod_{1<=i<=j} (i + alpha)/(i + beta), where beta/(beta - alpha - 1)
+    is Gauss's sum of 2F1(1, 1 + alpha; 1 + beta; 1) = sum_j rho_j."""
+    def tail(k):
+        total, rho = 0.0, 1.0
+        for j in range(k):
+            if j:
+                rho *= (j + alpha) / (j + beta)
+            total += rho
+        return beta / (beta - alpha - 1.0) - total
+    return tail(x) / tail(a)
+
+
+def _critical_binary(lam: float, mu: float, r_minus1: float = 0.0) -> md.ModelSpec:
+    """p0 = p2 = 1/2 with culling r_-1 and unit immigration r_1 = 1 - r_-1: a
+    birth-death chain with alpha = 2 mu r_-1/lam, beta = 2 mu r_1/lam."""
+    return md.make_spec(md.OffspringLaw.tabular({0: 0.5, 2: 0.5}), lam,
+                        md.ImmigrationLaw.tabular({-1: r_minus1, 1: 1.0 - r_minus1}), mu)
+
+
+class TestCriticalImmigrationRegime:
+    """At a double root of D at 1 the q = 0 integral converges iff
+    k = 2 mu r~'(1)/(lam p~''(1)) > 1; with r_1 = 1, k = c = 2 mu/lam."""
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    @pytest.mark.parametrize("c", [1.04, 1.1, 1.2, 1.4, 1.5])
+    def test_convergent_integral_matches_birth_death(self, c, lam, time_limit):
+        spec = _critical_binary(lam, 0.5 * c * lam)
+        for x, a in ((1, 0), (5, 0), (20, 3)):
+            with time_limit(1):
+                got = ps.prob_passage(spec, x, a)
+            assert got == pytest.approx(_birth_death_passage(0.0, c, x, a), rel=1e-10, abs=0.0)
+        assert ps.certain_extinction(spec) is False
+
+    def test_culling_and_immigration(self, time_limit):
+        # k = 2*1.1*(0.7 - 0.3)/0.8 = 1.1, with phi = 3/7 > 0
+        spec = _critical_binary(0.8, 1.1, 0.3)
+        for x, a in ((1, 0), (5, 0), (20, 3)):
+            with time_limit(1):
+                got = ps.prob_passage(spec, x, a)
+            assert got == pytest.approx(_birth_death_passage(0.825, 1.925, x, a),
+                                        rel=1e-10, abs=0.0)
+        assert ps.certain_extinction(spec) is False
+
+    @pytest.mark.parametrize("c", [0.6, 1.0])
+    def test_divergent_integral_is_certain_extinction(self, c, time_limit):
+        spec = _critical_binary(1.0, 0.5 * c)
+        with time_limit(1):
+            assert ps.prob_passage(spec, 5, 0) == 1.0
+            assert ps.certain_extinction(spec) is True
+
+    def test_slow_endpoint_decay_refuses(self, time_limit):
+        # s = c - 1 = 0.02: the chart would drop ~e^(-634*0.02) = 3e-6 of the mass
+        spec = _critical_binary(1.0, 0.51)
+        with time_limit(1), pytest.raises(QuadratureError):
+            ps.prob_passage(spec, 1, 0)
+        assert ps.certain_extinction(spec) is False
+
+    def test_mean_passage_needs_certain_extinction(self):
+        with pytest.raises(PreconditionError):
+            ps.mean_first_passage(_critical_binary(1.0, 0.52), 1, 0)
 
 
 class TestExplosion:

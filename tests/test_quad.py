@@ -76,6 +76,16 @@ class TestGaussKronrod:
         exact = math.e - 1.0 + 0.5 * (c ** 2 + (1.0 - c) ** 2)
         assert float(np.sum(vals)) == pytest.approx(exact, rel=1e-14)
 
+    def test_noisy_integrand_refuses(self, time_limit):
+        # values jump by ~1e-9 relative at every scale above ~1e-15, so no
+        # panel meets rel_tol 1e-13 until it is ~1e-17 wide
+        def g(x):
+            return 1.0 + 1e-9 * np.sin(1e15 * x)
+
+        with time_limit(1), pytest.raises(QuadratureError) as exc_info:
+            quad.gk_adaptive(g, 0.0, 1.0, 1e-15, 1e-13)
+        assert exc_info.value.estimate == pytest.approx(1.0, rel=1e-8)
+
     def test_panels_across_blocks(self):
         edges = np.linspace(-3.0, 2.0, 1201)  # more panels than one block
         vals, _, fail = quad.gk_panels(np.sin, edges[:-1], edges[1:], 1e-15, 1e-13)

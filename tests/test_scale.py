@@ -227,8 +227,7 @@ def _reference_logw(tbl: sc.ScaleTable) -> np.ndarray:
     npts = len(t)
 
     def panel(t0, t1):
-        return quad.gk_adaptive(tbl.gamma_t, t0, t1,
-                                1e-15, 1e-13, tbl.cfg.max_depth)[0]
+        return quad.gk_adaptive(tbl.gamma_t, t0, t1, 1e-15, 1e-13)[0]
 
     theta_anchored = not (tbl.anchor_end or tbl.branch == "upper")
     if not theta_anchored:
