@@ -16,7 +16,7 @@ from .passage import (  # noqa: F401
     prob_explosion_before, prob_passage, tilted_model,
 )
 from .quad import QuadConfig, WeightEval, gamma_q, integrate, log_omega_lower, log_omega_upper, rho, weight_eval  # noqa: F401
-from .scale import harmonic_residual, phi_0_fn, phi_fn, phi_q_fn, phi_q_qbar_fn, psi_q_fn  # noqa: F401
+from .scale import harmonic_residual, log_phi_fn, log_phi_q_qbar_fn, phi_0_fn, phi_fn, phi_q_fn, phi_q_qbar_fn, psi_q_fn  # noqa: F401
 from .sim import (  # noqa: F401
     Estimate, PathOutcome, SimConfig, atmin_clock_sample,
     estimate_explosion, estimate_explosion_time, estimate_joint_avalanche,

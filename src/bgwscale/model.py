@@ -608,3 +608,17 @@ class GapEvaluator:
         expanded = (lam + qbar) * delta - lam * (1.0 - self.p0) * pow_diff
         direct = lam * (u - (1.0 - self.p0) * u**a) - qbar * (1.0 - u)
         return np.where(near, expanded, direct)
+
+    def log_abs_den(self, v, d_root, log_abs_droot, d_one):
+        """log|D(v)|, with log|d_root| also supplied exactly.  Below |d_root| <
+        1e-250 the factored Sibuya den underflows; log|d_root| + log|D'(root)|
+        is exact there."""
+        if self.kind == "tabular":
+            coeffs, mult = (self.q2, 2.0) if self.double_root else (self.q1, 1.0)
+            vals = np.polynomial.polynomial.polyval(v, coeffs)
+            return mult * log_abs_droot + np.log(np.abs(vals))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            plain = np.log(np.abs(self.den(v, d_root, d_one)))
+        a, us = self.alpha, self.ustar
+        dprime = self.lam + self.qbar - self.lam * (1.0 - self.p0) * a * us ** (a - 1.0)
+        return np.where(np.abs(d_root) < 1e-250, log_abs_droot + math.log(abs(dprime)), plain)

@@ -5,6 +5,7 @@ exponential tilting of the model."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +42,7 @@ def lt_first_passage(spec: md.ModelSpec, q: float, x: int, a: int,
         raise DomainError("q must be >= 0")
     if x == a:
         return 1.0
-    return sc.phi_fn(spec, q, x, cfg) / sc.phi_fn(spec, q, a, cfg)
+    return math.exp(sc.log_phi_fn(spec, q, x, cfg) - sc.log_phi_fn(spec, q, a, cfg))
 
 
 def prob_passage(spec: md.ModelSpec, x: int, a: int, cfg: QuadConfig = DEFAULT_CFG) -> float:
@@ -91,14 +92,15 @@ def mean_first_passage(spec: md.ModelSpec, x: int, a: int,
         raise DomainError("need a < x")
     if not certain_extinction(spec):
         raise PreconditionError("mean_first_passage requires certain extinction")
+    if spec.offspring.mean() >= 1.0:  # critical: the integrand ~ u^(-1-k), k >= 0, at v = 1
+        raise PreconditionError("mean_first_passage is infinite for critical offspring")
     phi = md.root_phi_q(spec, 0.0)
     if phi >= 1.0:
         raise PreconditionError("mean_first_passage requires phi < 1")
-    if spec.mu == 0.0:
-        tbl = sc._table(spec, 0.0, numerator="imm", theta=0.0, anchor_end=True, cfg=cfg)
-    else:
-        tbl = sc._table(spec, 0.0, numerator="imm", theta=phi, anchor_end=True, cfg=cfg)
-    return tbl.value_mean_passage(x, a)
+    tbl = sc._table(spec, 0.0, numerator="imm", theta=phi if spec.mu > 0.0 else 0.0,
+                    anchor_end=True, cfg=cfg)
+    # int (v^a - v^x) exp{int_v^1 gamma_0} / D dv
+    return math.exp(tbl.log_value(a, tbl.log_one_minus_pow(x - a)))
 
 
 def mean_explosion(spec: md.ModelSpec, x: int, cfg: QuadConfig = DEFAULT_CFG) -> float:
@@ -110,7 +112,8 @@ def mean_explosion(spec: md.ModelSpec, x: int, cfg: QuadConfig = DEFAULT_CFG) ->
     if not md.is_explosive(spec):
         raise PreconditionError("mean_explosion requires an explosive chain")
     tbl = sc._table(spec, 1.0, branch="upper", numerator="unit", cfg=cfg)
-    return tbl.value_with_J(int(x))
+    with np.errstate(divide="ignore"):  # x int v^(x-1) J(v) dv, J = int_v^1 dw/rho = -logw
+        return int(x) * math.exp(tbl.log_value(int(x) - 1, weight=np.log(-tbl.logw)))
 
 
 def lt_joint_avalanche(spec: md.ModelSpec, q: float, qbar: float, x: int, a: int,
@@ -120,8 +123,8 @@ def lt_joint_avalanche(spec: md.ModelSpec, q: float, qbar: float, x: int, a: int
     x, a = _check_levels(x, a)
     if x == a:
         return 1.0
-    return (sc.phi_q_qbar_fn(spec, q, qbar, x, cfg)
-            / sc.phi_q_qbar_fn(spec, q, qbar, a, cfg))
+    return math.exp(sc.log_phi_q_qbar_fn(spec, q, qbar, x, cfg)
+                    - sc.log_phi_q_qbar_fn(spec, q, qbar, a, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +155,9 @@ def atmin_law(spec: md.ModelSpec, q: float, x: int, cfg: QuadConfig = DEFAULT_CF
     x = int(x)
     if q < 0.0:
         raise DomainError("q must be >= 0")
-    vals = [sc.phi_fn(spec, q, k, cfg) for k in range(x + 1)]
-    fx = vals[x]
-    pmf = []
-    for k in range(x + 1):
-        p = fx / vals[k] - (fx / vals[k - 1] if k >= 1 else 0.0)
-        pmf.append(p)
+    logs = [sc.log_phi_fn(spec, q, k, cfg) for k in range(x + 1)]
+    ratio = [math.exp(logs[x] - lk) for lk in logs]
+    pmf = [ratio[k] - (ratio[k - 1] if k >= 1 else 0.0) for k in range(x + 1)]
     return AtMinLaw(x=x, q=q, pmf=tuple(pmf))
 
 
@@ -170,8 +170,9 @@ def atmin_lt_G(spec: md.ModelSpec, q: float, alpha: float, x: int, k: int,
         raise DomainError("need 0 <= k <= x")
     if alpha == 0.0 or k == x:
         return 1.0
-    return (sc.phi_fn(spec, q + alpha, x, cfg) / sc.phi_fn(spec, q, x, cfg)
-            * sc.phi_fn(spec, q, k, cfg) / sc.phi_fn(spec, q + alpha, k, cfg))
+    f = lambda y: sc.log_phi_fn(spec, q, y, cfg)
+    g = lambda y: sc.log_phi_fn(spec, q + alpha, y, cfg)
+    return math.exp(g(x) - f(x) + f(k) - g(k))
 
 
 def atmin_lt_residual(spec: md.ModelSpec, q: float, alpha: float, x: int, k: int,
@@ -188,9 +189,9 @@ def atmin_lt_residual(spec: md.ModelSpec, q: float, alpha: float, x: int, k: int
     head = q / (q + alpha)
     if k == 0:
         return head
-    num = 1.0 - sc.phi_fn(spec, q + alpha, k, cfg) / sc.phi_fn(spec, q + alpha, k - 1, cfg)
-    den = 1.0 - sc.phi_fn(spec, q, k, cfg) / sc.phi_fn(spec, q, k - 1, cfg)
-    return head * num / den
+    f = lambda y: sc.log_phi_fn(spec, q, y, cfg)
+    g = lambda y: sc.log_phi_fn(spec, q + alpha, y, cfg)
+    return head * math.expm1(g(k) - g(k - 1)) / math.expm1(f(k) - f(k - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +231,7 @@ def conditioned_generator(spec: md.ModelSpec, q: float, x_max: int,
     mu_eff = mu if spec.has_immigration else 0.0
 
     kmax = 64
-    phi_cache: dict[int, float] = {}
-
-    def phi(y: int) -> float:
-        if y not in phi_cache:
-            phi_cache[y] = sc.phi_fn(spec, q, y, cfg)
-        return phi_cache[y]
+    log_phi = functools.lru_cache(maxsize=None)(lambda y: sc.log_phi_fn(spec, q, y, cfg))
 
     leave, rows = [], []
     for x in range(1, x_max + 1):
@@ -243,7 +239,8 @@ def conditioned_generator(spec: md.ModelSpec, q: float, x_max: int,
         leave.append(rate)
         row: dict[int, float] = {}
         if x >= 2:
-            row[x - 1] = (p0 * lam * x + r_minus1 * mu_eff) * phi(x - 1) / (rate * phi(x))
+            row[x - 1] = ((p0 * lam * x + r_minus1 * mu_eff)
+                          * math.exp(log_phi(x - 1) - log_phi(x)) / rate)
         # upward jumps x -> x+k, truncated where the tail stops moving the row sum
         pk = spec.offspring.pmf_terms(kmax + 1)
         _, rk = spec.immigration.pmf_terms(kmax) if spec.has_immigration else (0.0, np.zeros(kmax))
@@ -256,7 +253,7 @@ def conditioned_generator(spec: md.ModelSpec, q: float, x_max: int,
                     else (0.0, np.zeros(kmax))
             w = pk[k + 1] * lam * x + mu_eff * rk[k - 1]
             if w > 0.0:
-                term = w * phi(x + k) / (rate * phi(x))
+                term = w * math.exp(log_phi(x + k) - log_phi(x)) / rate
                 if term > 0.0:
                     row[x + k] = term
                 if term < _JUMP_TAIL_TOL and k > 8:
@@ -268,7 +265,7 @@ def conditioned_generator(spec: md.ModelSpec, q: float, x_max: int,
                 break
             k += 1
         rows.append(row)
-    kill = (p0 * lam + r_minus1 * mu_eff) * phi(0) / phi(1)
+    kill = (p0 * lam + r_minus1 * mu_eff) * math.exp(log_phi(0) - log_phi(1))
     return ConditionedGenerator(x_max=x_max, leave_rates=tuple(leave),
                                 jumps=tuple(rows), kill_rate=kill)
 

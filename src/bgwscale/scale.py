@@ -1,21 +1,21 @@
-"""The scale/harmonic functions Phi_q, Psi_q, Phi_0, Phi_{q,qbar}.
+"""The scale/harmonic functions Phi_q, Psi_q, Phi_0, Phi_{q,qbar}, in log space.
 
-Every function is an integral of the shape
+Each is either a power function base^x (the tie branch; Phi_0 = varphi^x) or
 
-    prefactor * int_I exp{ -int_theta^v gamma } / D(v) * v^x dv
+    exp(log_pref) * int_I exp{ -int_theta^v gamma } / D(v) * v^x dv
 
-over I = (0, U) (U the smallest root of the denominator D, i.e. varphi or
-varphi_qbar) or I = (varphi, 1).  One quadrature table per (model, q, qbar,
-branch) serves all x.  A table level is the tanh-sinh node ladder of I with
-step 2^-level in the chart variable t.  The inner integral is telescoped along
-that ladder from an anchor node: one blocked G7/K15 pass integrates gamma over
-every panel between consecutive nodes, cumulative sums of the panel values
-give the inner weight on both sides of the anchor, and each side stops once
-its terms fall _LOG_CUT below the running peak.  Only the panels inside the
-kept ladder whose one-step error test fails are refined adaptively, after
-which the cut is recomputed.  Levels refine until probe values settle, and
-everything is stored in log space (the integrating factor underflows near the
-root for moderate q already).
+over I = (0, U) (U the smallest root of D: varphi or varphi_qbar) or
+I = (varphi, 1).  One resolver per function picks the branch and returns the
+base or (log_pref, table); its value, its log and ``harmonic_residual`` share
+it.  One table per (model, q, qbar, branch) serves all x: the tanh-sinh node
+ladder of I at step 2^-level, the inner integral telescoped from an anchor
+node by one blocked G7/K15 pass over all panels, each side cut once its terms
+fall _LOG_CUT below the running peak, failing panels inside the cut refined
+adaptively; levels refine until probe values settle.  Tables hold logs only,
+and ``ScaleTable.log_value`` is their one evaluator: m + log sum exp(lt - m)
+over the node terms lt, with an optional log kernel added on every node.
+Ratios such as Phi_q(x)/Phi_q(a) are exp of log differences (``log_phi_fn``,
+``log_phi_q_qbar_fn``), so they stay accurate where Phi itself underflows.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,18 +60,15 @@ class ScaleTable:
     def __init__(self, spec: md.ModelSpec, q: float, qbar: float, branch: str,
                  numerator: str, theta: float, anchor_end: bool, cfg: QuadConfig):
         self.spec = spec
-        self.q = q
-        self.qbar = qbar
         self.branch = branch          # "lower" | "upper"
         self.numerator = numerator    # "full" | "imm" | "unit"
         self.theta = theta
         self.anchor_end = anchor_end  # anchor the inner integral at the right endpoint
         self.cfg = cfg
-        varphi = md.root_varphi(spec)
         if branch == "lower":
             self.low, self.high = 0.0, md.root_varphi_qbar(spec, qbar)
         else:
-            self.low, self.high = varphi, 1.0
+            self.low, self.high = md.root_varphi(spec), 1.0
         self.chart = TSMap(self.low, self.high)
         self.gap = md.GapEvaluator(spec, qbar if branch == "lower" else 0.0)
         self.gamma_t = make_gamma_t(spec, q, self.chart, qbar=qbar if branch == "lower" else 0.0,
@@ -84,8 +82,9 @@ class ScaleTable:
         prev = None
         for level in range(5, 10):
             self._build_level(level)
-            probes = np.array([self.value_mean_passage(x, a) for x, a in _PROBE_PASSAGES]
-                              if self.anchor_end else [self._raw_value(x) for x in _PROBE_XS])
+            probes = np.exp([self.log_value(a, self.log_one_minus_pow(x - a))
+                             for x, a in _PROBE_PASSAGES]
+                            if self.anchor_end else [self.log_value(x) for x in _PROBE_XS])
             if prev is not None:
                 scale = np.maximum(np.abs(probes), 1e-300)
                 err = float(np.max(np.abs(probes - prev) / scale))
@@ -113,7 +112,7 @@ class ScaleTable:
             d_root, log_abs_droot = -pts.da, pts.log_da
             d_one = pts.db
             logv = np.log1p(-pts.db)
-        log_absD = self._log_abs_den(pts.v, d_root, log_abs_droot, d_one)
+        log_absD = self.gap.log_abs_den(pts.v, d_root, log_abs_droot, d_one)
 
         # anchor node for the telescoped inner integral, and the (oriented)
         # correction from theta to its nearest grid node
@@ -177,82 +176,39 @@ class ScaleTable:
         """int_{t0}^{t1} gamma dt in the chart variable (oriented)."""
         return gk_adaptive(self.gamma_t, t0, t1, 1e-15, 1e-13)[0]
 
-    def _log_abs_den(self, v, d_root, log_abs_droot, d_one):
-        gap = self.gap
-        if gap.kind == "tabular":
-            q1 = np.polynomial.polynomial.polyval(v, gap.q1)
-            if gap.double_root:
-                r = np.polynomial.polynomial.polyval(v, gap.q2)
-                return 2.0 * log_abs_droot + np.log(np.abs(r))
-            return log_abs_droot + np.log(np.abs(q1))
-        us, a = gap.ustar, gap.alpha
-        lam, qbar, p0 = gap.lam, gap.qbar, gap.p0
-        # below ~1e-250 the factored den itself underflows; switch to
-        # log|d_root| + log D'(root), exact at that proximity
-        tiny = np.abs(d_root) < 1e-250
-        with np.errstate(divide="ignore", invalid="ignore"):
-            den = gap.den(v, d_root, d_one)
-            plain = np.where(den != 0.0, np.log(np.abs(den)), -np.inf)
-        dprime = lam + qbar - lam * (1.0 - p0) * a * us ** (a - 1.0)
-        linear = log_abs_droot + math.log(abs(dprime))
-        return np.where(tiny, linear, plain)
-
     # -- evaluation -----------------------------------------------------------
 
-    def _terms_log(self, x: float, extra: np.ndarray | float = 0.0) -> np.ndarray:
-        return self.log_ts_w + self.logw - self.log_absD + x * self.logv + extra
-
-    def _raw_value(self, x: float, extra: np.ndarray | float = 0.0) -> float:
-        lt = self._terms_log(x, extra)
+    def log_value(self, x: float, extra: np.ndarray | float = 0.0,
+                  weight: np.ndarray | None = None) -> float:
+        """log of the table integral at level x, with ``extra`` added to the log
+        integrand on every node: m + log sum exp(lt - m) over the node terms lt,
+        -inf when every term is -inf.  ``weight`` replaces the node weight
+        logw - log|D| for the special forms that do not use it."""
+        lt = (self.log_ts_w + self.logw - self.log_absD if weight is None
+              else self.log_ts_w + weight) + x * self.logv + extra
         m = float(np.max(lt))
-        if not math.isfinite(m):
-            return 0.0
-        return math.exp(m) * float(np.sum(np.exp(lt - m)))
+        if m == -math.inf:
+            return m
+        return m + math.log(float(np.sum(np.exp(lt - m))))
 
-    def value(self, prefactor: float, x: float, extra: np.ndarray | float = 0.0) -> float:
-        return prefactor * self._raw_value(x, extra)
+    def log_one_minus_pow(self, n: int) -> np.ndarray:
+        """log(1 - v^n) on the nodes: the mean passage kernel v^a - v^x is
+        v^a (1 - v^(x-a))."""
+        with np.errstate(divide="ignore"):
+            return np.log(-np.expm1(n * self.logv))
 
     def log_pgf_factors(self) -> tuple[np.ndarray, np.ndarray | None]:
         """(log p~(v_i), log r~(v_i)) on the nodes, for generating-function sums."""
-        ptil = self.spec.offspring.pgf(np.clip(self.pts.v, 1e-300, 1.0))
-        log_p = np.log(ptil)
+        log_p = np.log(self.spec.offspring.pgf(np.clip(self.pts.v, 1e-300, 1.0)))
         log_r = None
         if self.spec.has_immigration:
+            imm = self.spec.immigration
             d_one = self.pts.db if self.high == 1.0 else 1.0 - self.pts.v
-            rt = 1.0 - self.spec.immigration.one_minus_pgf(self.pts.v, d_one)
-            # culling makes r~ blow up like r_-1/v near 0; recompute plainly there
-            small = self.pts.v < 1e-250
-            if np.any(small) and self.spec.immigration.kind == "tabular" \
-                    and self.spec.immigration.r_minus1 > 0.0:
-                rt = np.where(small, np.inf, rt)
-                log_r = np.where(small,
-                                 math.log(self.spec.immigration.r_minus1) - self.logv,
-                                 np.log(np.maximum(rt, 1e-300)))
-            else:
-                log_r = np.log(np.maximum(rt, 1e-300))
+            log_r = np.log(np.maximum(1.0 - imm.one_minus_pgf(self.pts.v, d_one), 1e-300))
+            # culling makes r~ blow up like r_-1/v near 0; take that term alone there
+            if imm.kind == "tabular" and imm.r_minus1 > 0.0:
+                log_r = np.where(self.pts.v < 1e-250, math.log(imm.r_minus1) - self.logv, log_r)
         return log_p, log_r
-
-    # simplified mu=0 representation: Phi_q(x) = delta_{x0} + x int v^{x-1} omega dv
-    def value_mu0_form(self, x: int) -> float:
-        if x == 0:
-            return 1.0
-        lt = self.log_ts_w + self.logw + (x - 1) * self.logv
-        m = float(np.max(lt))
-        return x * math.exp(m) * float(np.sum(np.exp(lt - m)))
-
-    # J(v) = int_v^1 dw/rho(w) against x v^{x-1} dv (mean explosion time)
-    def value_with_J(self, x: int) -> float:
-        J = -self.logw
-        w = np.exp(self.log_ts_w + (x - 1) * self.logv)
-        return x * float(np.sum(w * J))
-
-    def value_mean_passage(self, x: int, a: int) -> float:
-        # int (v^a - v^x) * exp{int_v^1 gamma_0} / D dv; logw holds +int_v^1 gamma_0
-        with np.errstate(divide="ignore"):
-            diff_log = a * self.logv + np.log(-np.expm1((x - a) * self.logv))
-        lt = self.log_ts_w + self.logw - self.log_absD + diff_log
-        m = float(np.max(lt))
-        return math.exp(m) * float(np.sum(np.exp(lt - m)))
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +249,27 @@ def _check_x(x) -> int:
     return int(x)
 
 
-def phi_q_fn(spec: md.ModelSpec, q: float, x: int, cfg: QuadConfig = DEFAULT_CFG) -> float:
-    """Phi_q(x): positive harmonic function of the killed chain vanishing at infinity."""
+class _Resolved(NamedTuple):
+    """One scale function at one parameter point: base**x on the power-function
+    branch (``tbl`` is None; values are base**x bit for bit), else
+    exp(log_pref) times the table integral."""
+
+    base: float = math.nan
+    log_pref: float = 0.0
+    tbl: ScaleTable | None = None
+
+    def log(self, x, extra: np.ndarray | float = 0.0) -> float:
+        x = _check_x(x)
+        if self.tbl is None:
+            return x * math.log(self.base) + extra
+        return self.log_pref + self.tbl.log_value(x, extra)
+
+    def value(self, x) -> float:
+        return self.base ** _check_x(x) if self.tbl is None else math.exp(self.log(x))
+
+
+def _phi_q(spec: md.ModelSpec, q: float, cfg: QuadConfig) -> _Resolved:
     md.require_valid(spec)
-    x = _check_x(x)
     if q <= 0.0:
         raise DomainError("phi_q_fn requires q > 0 (use phi_0_fn for q = 0)")
     varphi = md.root_varphi(spec)
@@ -305,14 +278,17 @@ def phi_q_fn(spec: md.ModelSpec, q: float, x: int, cfg: QuadConfig = DEFAULT_CFG
         raise UnsupportedRegimeError("phi_q <= varphi",
                                      f"phi_q={phi_q!r} > varphi={varphi!r}; need q >= mu*(r~(varphi)-1)")
     if abs(phi_q - varphi) < BOUNDARY_TIE_TOL:
-        return varphi ** x
-    return _table(spec, q, cfg=cfg).value(q, x)
+        return _Resolved(varphi)
+    return _Resolved(log_pref=math.log(q), tbl=_table(spec, q, cfg=cfg))
 
 
-def psi_q_fn(spec: md.ModelSpec, q: float, x: int, cfg: QuadConfig = DEFAULT_CFG) -> float:
-    """Psi_q(x) = 1 - q int_varphi^1 omega/rho v^x dv: the explosion-side harmonic function."""
+def phi_q_fn(spec: md.ModelSpec, q: float, x: int, cfg: QuadConfig = DEFAULT_CFG) -> float:
+    """Phi_q(x): positive harmonic function of the killed chain vanishing at infinity."""
+    return _phi_q(spec, q, cfg).value(x)
+
+
+def _psi_q(spec: md.ModelSpec, q: float, cfg: QuadConfig) -> _Resolved:
     md.require_valid(spec)
-    x = _check_x(x)
     if q <= 0.0:
         raise DomainError("psi_q_fn requires q > 0")
     if not md.is_explosive(spec):
@@ -322,7 +298,12 @@ def psi_q_fn(spec: md.ModelSpec, q: float, x: int, cfg: QuadConfig = DEFAULT_CFG
     if phi_q >= varphi - BOUNDARY_TIE_TOL:
         raise UnsupportedRegimeError("phi_q < varphi",
                                      f"phi_q={phi_q!r}, varphi={varphi!r}")
-    return 1.0 - _table(spec, q, branch="upper", cfg=cfg).value(q, x)
+    return _Resolved(log_pref=math.log(q), tbl=_table(spec, q, branch="upper", cfg=cfg))
+
+
+def psi_q_fn(spec: md.ModelSpec, q: float, x: int, cfg: QuadConfig = DEFAULT_CFG) -> float:
+    """Psi_q(x) = 1 - q int_varphi^1 omega/rho v^x dv: the explosion-side harmonic function."""
+    return 1.0 - _psi_q(spec, q, cfg).value(x)
 
 
 def _phi0_exponent(spec: md.ModelSpec) -> float:
@@ -359,6 +340,21 @@ def _phi0_uses_integral(spec: md.ModelSpec) -> bool:
     return varphi < 1.0 or _phi0_exponent(spec) > 0.0
 
 
+def _phi_0(spec: md.ModelSpec, cfg: QuadConfig) -> _Resolved:
+    md.require_valid(spec)
+    varphi = md.root_varphi(spec)
+    if not _phi0_uses_integral(spec):
+        return _Resolved(varphi)
+    if varphi == 1.0:
+        lost = math.exp(_phi0_exponent(spec) * _LOG_U_END)
+        if lost > cfg.rel_tol:
+            raise QuadratureError("Phi_0 integrand decays too slowly at v = 1 for the chart",
+                                  math.nan, lost)
+    phi = md.root_phi_q(spec, 0.0)
+    return _Resolved(log_pref=math.log(spec.mu),
+                     tbl=_table(spec, 0.0, numerator="imm", theta=phi, cfg=cfg))
+
+
 def phi_0_fn(spec: md.ModelSpec, x: int, cfg: QuadConfig = DEFAULT_CFG) -> float:
     """Phi_0(x): the q = 0 scale function (passage probabilities Phi_0(x)/Phi_0(a)).
 
@@ -369,30 +365,26 @@ def phi_0_fn(spec: md.ModelSpec, x: int, cfg: QuadConfig = DEFAULT_CFG) -> float
     when that share exceeds ``cfg.rel_tol`` (s below ~0.036 at 1e-10) the call
     raises QuadratureError.
     """
-    md.require_valid(spec)
-    x = _check_x(x)
-    varphi = md.root_varphi(spec)
-    if not _phi0_uses_integral(spec):
-        return varphi ** x
-    if varphi == 1.0:
-        lost = math.exp(_phi0_exponent(spec) * _LOG_U_END)
-        if lost > cfg.rel_tol:
-            raise QuadratureError("Phi_0 integrand decays too slowly at v = 1 for the chart",
-                                  math.nan, lost)
-    phi = md.root_phi_q(spec, 0.0)
-    return _table(spec, 0.0, numerator="imm", theta=phi, cfg=cfg).value(spec.mu, x)
+    return _phi_0(spec, cfg).value(x)
+
+
+def _phi(spec: md.ModelSpec, q: float, cfg: QuadConfig) -> _Resolved:
+    return _phi_0(spec, cfg) if q == 0.0 else _phi_q(spec, q, cfg)
 
 
 def phi_fn(spec: md.ModelSpec, q: float, x: int, cfg: QuadConfig = DEFAULT_CFG) -> float:
     """Phi_q(x) for any q >= 0: phi_0_fn at q = 0, phi_q_fn otherwise (q < 0 is a DomainError)."""
-    return phi_0_fn(spec, x, cfg) if q == 0.0 else phi_q_fn(spec, q, x, cfg)
+    return _phi(spec, q, cfg).value(x)
 
 
-def phi_q_qbar_fn(spec: md.ModelSpec, q: float, qbar: float, x: int,
-                  cfg: QuadConfig = DEFAULT_CFG) -> float:
-    """Phi_{q,qbar}(x): joint discount/accumulated-population scale function."""
+def log_phi_fn(spec: md.ModelSpec, q: float, x: int, cfg: QuadConfig = DEFAULT_CFG) -> float:
+    """log Phi_q(x), finite where Phi_q(x) itself underflows; ratios
+    Phi_q(x)/Phi_q(a) are exp(log_phi_fn(x) - log_phi_fn(a))."""
+    return _phi(spec, q, cfg).log(x)
+
+
+def _phi_q_qbar(spec: md.ModelSpec, q: float, qbar: float, cfg: QuadConfig) -> _Resolved:
     md.require_valid(spec)
-    x = _check_x(x)
     if q < 0.0 or qbar < 0.0:
         raise DomainError("q and qbar must be >= 0")
     vq = md.root_varphi_qbar(spec, qbar)
@@ -400,13 +392,26 @@ def phi_q_qbar_fn(spec: md.ModelSpec, q: float, qbar: float, x: int,
         raise PreconditionError("need q > 0 or varphi_qbar < 1")
     if spec.mu == 0.0 and q == 0.0:
         # q -> 0 limit of the general expression (power function)
-        return vq ** x
+        return _Resolved(vq)
     shift = spec.mu * (spec.immigration.pgf(vq) - 1.0) if spec.has_immigration else 0.0
     if not q > shift + 1e-12:
         raise UnsupportedRegimeError("q > mu*(r~(varphi_qbar)-1)",
                                      f"q={q!r}, mu*(r~(varphi_qbar)-1)={shift!r}")
     theta = md.root_phi_q(spec, q)
-    return _table(spec, q, qbar=qbar, theta=theta, cfg=cfg).value(q - shift, x)
+    return _Resolved(log_pref=math.log(q - shift),
+                     tbl=_table(spec, q, qbar=qbar, theta=theta, cfg=cfg))
+
+
+def phi_q_qbar_fn(spec: md.ModelSpec, q: float, qbar: float, x: int,
+                  cfg: QuadConfig = DEFAULT_CFG) -> float:
+    """Phi_{q,qbar}(x): joint discount/accumulated-population scale function."""
+    return _phi_q_qbar(spec, q, qbar, cfg).value(x)
+
+
+def log_phi_q_qbar_fn(spec: md.ModelSpec, q: float, qbar: float, x: int,
+                      cfg: QuadConfig = DEFAULT_CFG) -> float:
+    """log Phi_{q,qbar}(x), the log counterpart of ``phi_q_qbar_fn``."""
+    return _phi_q_qbar(spec, q, qbar, cfg).log(x)
 
 
 # ---------------------------------------------------------------------------
@@ -420,56 +425,36 @@ def harmonic_residual(spec: md.ModelSpec, q: float, qbar: float, f: str, x: int,
 
     The sums are evaluated in generating-function form (sum_k p_k v^{x+k-1} =
     v^{x-1} p~(v) under the integral), which is exact for the heavy-tailed
-    analytic laws where direct truncation cannot reach 1e-6.
+    analytic laws where direct truncation cannot reach 1e-6.  The three terms
+    are taken in logs and scaled by the largest, so the residual stays
+    meaningful where f itself underflows.
     """
-    md.require_valid(spec)
     if x < 1:
         raise DomainError("x must be >= 1")
-    lam, mu = spec.lam, spec.mu
-    varphi = md.root_varphi(spec)
-
-    if f == "phi_q":
-        phi_q = md.root_phi_q(spec, q)
-        if phi_q > varphi + BOUNDARY_TIE_TOL:
-            raise UnsupportedRegimeError("phi_q <= varphi",
-                                         f"phi_q={phi_q!r} > varphi={varphi!r}")
-        if abs(phi_q - varphi) < BOUNDARY_TIE_TOL:
-            fx = varphi ** x
-            sp = varphi ** (x - 1) * spec.offspring.pgf(varphi)
-            sr = varphi ** x * (spec.immigration.pgf(varphi) if spec.has_immigration else 0.0)
-            lhs = (q + lam * x + mu) * fx
-            rhs = lam * x * sp + mu * sr
-            return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-        tbl = _table(spec, q, cfg=cfg)
-        pref = q
-        fx = tbl.value(pref, x)
-        base = 1.0
-    elif f == "phi_q_qbar":
-        vq = md.root_varphi_qbar(spec, qbar)
-        shift = spec.mu * (spec.immigration.pgf(vq) - 1.0) if spec.has_immigration else 0.0
-        tbl = _table(spec, q, qbar=qbar, theta=md.root_phi_q(spec, q), cfg=cfg)
-        pref = q - shift
-        fx = tbl.value(pref, x)
-        base = 1.0
-    elif f == "psi_q":
-        tbl = _table(spec, q, branch="upper", cfg=cfg)
-        pref = q
-        fx = 1.0 - tbl.value(pref, x)
-        base = -1.0  # f = 1 - integral, and sum_k p_k * 1 = 1
-    else:
+    resolve = {"phi_q": lambda: _phi_q(spec, q, cfg), "psi_q": lambda: _psi_q(spec, q, cfg),
+               "phi_q_qbar": lambda: _phi_q_qbar(spec, q, qbar, cfg)}.get(f)
+    if resolve is None:
         raise DomainError(f"unknown scale function tag {f!r}")
-
-    log_p, log_r = tbl.log_pgf_factors()
-    sp_int = tbl.value(pref, x - 1, extra=log_p)
-    sp = 1.0 - sp_int if base < 0 else sp_int
-    if mu > 0.0 and spec.has_immigration:
-        sr_int = tbl.value(pref, x, extra=log_r)
-        sr = 1.0 - sr_int if base < 0 else sr_int
+    r = resolve()
+    lam, mu = spec.lam, spec.mu
+    imm = mu > 0.0 and spec.has_immigration
+    if r.tbl is None:
+        log_p = math.log(spec.offspring.pgf(r.base))
+        log_r = math.log(spec.immigration.pgf(r.base)) if imm else None
     else:
-        sr = 0.0
-    lhs = (q + qbar * x + lam * x + mu) * fx
-    rhs = lam * x * sp + mu * sr
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+        log_p, log_r = r.tbl.log_pgf_factors()
+
+    def log_f(y, extra=0.0):
+        # log of sum_k w_k f(y+k), with log w~(v) = extra on the nodes;
+        # Psi_q = 1 - integral, and the weights sum to 1
+        lv = r.log(y, extra)
+        return math.log1p(-math.exp(lv)) if f == "psi_q" else lv
+
+    logs = (log_f(x), log_f(x - 1, log_p), log_f(x, log_r) if imm else -math.inf)
+    top = max(logs)
+    lhs, sp, sr = (c * math.exp(lg - top)
+                   for c, lg in zip((q + qbar * x + lam * x + mu, lam * x, mu), logs))
+    return abs(lhs - sp - sr) / max(lhs, sp + sr)
 
 
 # internal alternates used by property tests -------------------------------
@@ -481,14 +466,16 @@ def phi_q_mu0_simplified(spec: md.ModelSpec, q: float, x: int,
     if spec.mu != 0.0:
         raise PreconditionError("simplified form needs mu = 0")
     x = _check_x(x)
-    return _table(spec, q, cfg=cfg).value_mu0_form(x)
+    if x == 0:
+        return 1.0
+    tbl = _table(spec, q, cfg=cfg)
+    return x * math.exp(tbl.log_value(x - 1, weight=tbl.logw))
 
 
 def phi_q_with_delimiter(spec: md.ModelSpec, q: float, x: int, theta: float,
                          cfg: QuadConfig = DEFAULT_CFG) -> float:
     """Phi_q with the lower delimiter replaced by theta in (0, varphi); differs
     from phi_q_fn by an x-independent factor only."""
-    varphi = md.root_varphi(spec)
-    if not (0.0 < theta < varphi):
+    if not (0.0 < theta < md.root_varphi(spec)):
         raise DomainError("theta must lie in (0, varphi)")
-    return _table(spec, q, theta=theta, cfg=cfg).value(q, _check_x(x))
+    return q * math.exp(_table(spec, q, theta=theta, cfg=cfg).log_value(_check_x(x)))

@@ -95,6 +95,14 @@ class TestPassageCommands:
         assert r.exit_code == 2
         assert r.stdout == ""
 
+    def test_mean_refuses_critical_offspring(self, runner, tmp_path):
+        # certain extinction of critical offspring: E_x[T_a] = +inf
+        path = tmp_path / "crit.json"
+        md.dump_model(md.make_spec(md.OffspringLaw.tabular({0: 0.5, 2: 0.5}), 1.0), path)
+        r = _invoke(runner, ["passage", "mean", "--model", str(path), "--x", "1..5", "--a", "0"])
+        assert r.exit_code == 2
+        assert r.stdout == ""
+
     def test_usage_exit64(self, runner, model_dir):
         r = _invoke(runner, ["passage", "lt", "--model", str(model_dir / "m2.json"),
                              "--q", "1"])

@@ -123,6 +123,58 @@ class TestCriticalImmigrationRegime:
             ps.mean_first_passage(_critical_binary(1.0, 0.52), 1, 0)
 
 
+class TestDeepLevels:
+    """Ratios of scale functions that underflow, taken as log differences
+    (references: the birth-death continued fraction)."""
+
+    def test_lt_first_passage(self, m2):
+        # q = 1 is the tie branch (phi_q = varphi = 1/2)
+        assert ps.lt_first_passage(m2, 1.0, 1100, 1099) == pytest.approx(0.5, rel=0.0, abs=1e-10)
+        assert ps.lt_first_passage(m2, 4.0, 2000, 1999) == pytest.approx(
+            0.4992533525027354, rel=0.0, abs=1e-10)
+
+    def test_joint_avalanche(self, m2):
+        assert ps.lt_joint_avalanche(m2, 4.0, 1.0, 600, 443) == pytest.approx(
+            1.584264600270553e-84, rel=1e-10, abs=0.0)
+
+    @staticmethod
+    def _m2_ratio(q, k):
+        """Phi_q(k)/Phi_q(k-1) on m2, a birth-death chain with b(y) = 2y and
+        d(y) = y + 1: r_y = d(y)/(q + b(y) + d(y) - b(y) r_{y+1}) from above."""
+        r = 0.5
+        for y in range(k + 200, k - 1, -1):
+            r = (y + 1) / (q + 3 * y + 1 - 2 * y * r)
+        return r
+
+    def test_atmin_residual(self, m2):
+        # Phi_2 and Phi_4 underflow near x ~ 1000
+        k = 1400
+        want = 0.5 * (1.0 - self._m2_ratio(4.0, k)) / (1.0 - self._m2_ratio(2.0, k))
+        assert ps.atmin_lt_residual(m2, 2.0, 2.0, 1500, k) == pytest.approx(want, rel=1e-8)
+
+    def test_conditioned_generator(self, m2):
+        x = 1100
+        gen = ps.conditioned_generator(m2, 4.0, x)
+        down = (x + 1) / ((4.0 + 1.0 + 3.0 * x) * self._m2_ratio(4.0, x))
+        assert gen.jumps[-1][x - 1] == pytest.approx(down, rel=1e-8)
+        assert sum(gen.jumps[-1].values()) == pytest.approx(1.0, abs=1e-8)
+
+
+class TestMeanPassageCriticalOffspring:
+    """Critical offspring with certain extinction: E_x[T_a] = +inf, refused
+    in closed form before any table is built."""
+
+    @pytest.mark.parametrize("mu, xs", [(0.0, (1, 5)), (0.001, (1, 5, 20))])
+    def test_refuses(self, monkeypatch, mu, xs):
+        imm = md.ImmigrationLaw.tabular({1: 1.0}) if mu else None
+        spec = md.make_spec(md.OffspringLaw.tabular({0: 0.5, 2: 0.5}), 1.0, imm, mu)
+        assert ps.certain_extinction(spec)
+        monkeypatch.setattr(sc, "_table", lambda *a, **k: pytest.fail("table built"))
+        for x in xs:
+            with pytest.raises(PreconditionError, match="critical"):
+                ps.mean_first_passage(spec, x, 0)
+
+
 class TestExplosion:
     def test_lt_values(self, m4):
         assert ps.lt_explosion_before(m4, 1.0, 1, 0) == pytest.approx(1.28 / 12, abs=1e-10)

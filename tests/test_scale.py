@@ -182,6 +182,12 @@ class TestHarmonicResidual:
         for x in range(1, 21):
             assert sc.harmonic_residual(m1, q, 1.0, "phi_q_qbar", x) < 1e-6
 
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    def test_phi_q_m4_where_phi_underflows(self, m4, q):
+        # Phi_q(x) and both sides of the equation underflow from x ~ 800
+        for x in (800, 900, 5000):
+            assert 0.0 < sc.harmonic_residual(m4, q, 0.0, "phi_q", x) < 1e-6
+
     def test_tie_branch_exact(self, m2):
         assert sc.harmonic_residual(m2, 1.0, 0.0, "phi_q", 2) < 1e-12
 
@@ -340,12 +346,30 @@ class TestTableCache:
         again = sc._table(m1, qs[0])
         assert again is not first
         assert np.array_equal(again.logw, first.logw)
-        assert again.value(qs[0], 7) == first.value(qs[0], 7)
+        assert again.log_value(7) == first.log_value(7)
         assert len(sc._CACHE) == 4
 
     def test_root_caches_bounded(self):
         for fn in (md.root_varphi, md.root_phi_q, md.root_varphi_qbar):
             assert fn.cache_info().maxsize is not None
+
+
+class TestLogScaleFunctions:
+    def test_logs_match_values(self, m1, m2, m4, m5):
+        for spec, q in ((m1, 0.5), (m2, 1.0), (m2, 4.0), (m4, 0.0), (m5, 0.0), (m5, 1.0)):
+            for x in (0, 1, 7, 30):
+                assert sc.log_phi_fn(spec, q, x) == pytest.approx(
+                    math.log(sc.phi_fn(spec, q, x)), rel=1e-13, abs=1e-13)
+        assert sc.log_phi_q_qbar_fn(m1, 0.5, 0.5, 7) == pytest.approx(
+            math.log(sc.phi_q_qbar_fn(m1, 0.5, 0.5, 7)), rel=1e-13)
+
+    def test_finite_where_value_underflows(self, m2):
+        assert sc.phi_q_fn(m2, 4.0, 2000) == 0.0
+        log_phi = sc.log_phi_fn(m2, 4.0, 2000)
+        assert math.isfinite(log_phi) and log_phi < math.log(5e-324)
+
+    def test_log_value_of_empty_integrand(self, m1):
+        assert sc._table(m1, 0.5).log_value(3, -np.inf) == -math.inf
 
 
 class TestPhiFn:
