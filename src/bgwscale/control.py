@@ -9,8 +9,12 @@ barrier strategy at the floor itself.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from . import model as md
 from . import scale as sc
@@ -38,24 +42,37 @@ class ControlProblem:
                 "q = 0 requires supercritical branching (value is infinite otherwise)")
 
 
-def barrier_gap(problem: ControlProblem, a: int, cfg: QuadConfig = DEFAULT_CFG) -> float:
-    """B(a) = Phi_q(a) - Phi_q(a+1) > 0; maximal at the floor."""
+def _gap(problem: ControlProblem, a: int, cfg: QuadConfig) -> tuple[sc._Resolved, float, float]:
+    """(Phi_q, B(a), log B(a)).  B(a) = Phi_q(a) - Phi_q(a+1) is one table integral
+    with the kernel 1 - v, whose log stays finite where Phi_q(a) underflows, or
+    varphi^a - varphi^(a+1) exactly on the power branch."""
     if a < problem.floor:
         raise PreconditionError("barrier must sit at or above the floor")
-    spec, q = problem.spec, problem.q
-    return sc.phi_fn(spec, q, a, cfg) - sc.phi_fn(spec, q, a + 1, cfg)
+    r = sc._phi(problem.spec, problem.q, cfg)
+    if r.tbl is None:
+        log_gap = a * math.log(r.base) + (math.log1p(-r.base) if r.base < 1.0 else -math.inf)
+        return r, r.base ** a - r.base ** (a + 1), log_gap
+    log_gap = r.log_pref + r.tbl.log_value(a, r.tbl.log_d_one)
+    return r, math.exp(log_gap), log_gap
+
+
+def barrier_gap(problem: ControlProblem, a: int, cfg: QuadConfig = DEFAULT_CFG) -> float:
+    """B(a) = Phi_q(a) - Phi_q(a+1) > 0; maximal at the floor."""
+    return _gap(problem, a, cfg)[1]
 
 
 def barrier_value(problem: ControlProblem, a: int, x: int,
                   cfg: QuadConfig = DEFAULT_CFG) -> float:
-    """Expected discounted cost W_a(x) of the barrier strategy at level a."""
-    if x < 0 or x != int(x):
-        raise DomainError("x must be a nonnegative integer")
-    gap = barrier_gap(problem, a, cfg)
-    spec, q = problem.spec, problem.q
-    if x > a:
-        return sc.phi_fn(spec, q, x, cfg) / gap
-    return a + 1 - x + sc.phi_fn(spec, q, a + 1, cfg) / gap
+    """Expected discounted cost W_a(x) of the barrier strategy at level a:
+    Phi_q(x)/B(a) above a, a + 1 - x + Phi_q(a+1)/B(a) at or below it.  The
+    ratio is exp of a log difference, except on the power branch while B(a)
+    is a normal float, where it stays varphi^y / B(a)."""
+    x = sc._check_x(x)
+    r, gap, log_gap = _gap(problem, a, cfg)
+    y = x if x > a else a + 1
+    ratio = (r.value(y) / gap if r.tbl is None and gap >= sys.float_info.min
+             else math.exp(r.log(y) - log_gap))
+    return ratio if x > a else a + 1 - x + ratio
 
 
 def optimal_value(problem: ControlProblem, x: int, cfg: QuadConfig = DEFAULT_CFG) -> float:
@@ -76,19 +93,23 @@ def verify_bellman(problem: ControlProblem, x_max: int, f_max: int,
     (iii) floor < x <= x_max, f >= 1:  f + Phi(x+f)/B >= Phi(x)/B
 
     The analytic proof covers all f; the grid check guards the implementation.
+    Every Phi(y)/B is exp of a log difference, read from one array call over
+    the levels floor+1..max(floor, x_max)+f_max (the only ones the checks read,
+    so Phi(y)/B cannot overflow); the first violation in (x, f) order is reported.
     """
     fl = problem.floor
-    B = barrier_gap(problem, fl, cfg)
-    phi = lambda y: sc.phi_fn(problem.spec, problem.q, y, cfg)
-    rhs_low = fl + 1 + phi(fl + 1) / B
+    r, _, log_gap = _gap(problem, fl, cfg)
+    x = np.arange(max(fl, x_max) + 1)[:, None]
+    f = np.arange(1, f_max + 1)
+    ratio = np.exp(r.log(np.arange(fl + 1, max(fl, x_max) + max(f_max, 1) + 1)) - log_gap)
+    over = lambda y: ratio[np.maximum(y - fl - 1, 0)]  # Phi(y)/B for y > fl
+    rhs_low = fl + 1 + ratio[0]
     tol = 1e-9 * max(1.0, rhs_low)
-    for x in range(0, fl + 1):
-        for f in range(fl + 2 - x, f_max + 1):
-            if f + phi(x + f) / B < rhs_low - x - tol:
-                return BellmanReport(False, (x, f))
-    for x in range(fl + 1, x_max + 1):
-        target = phi(x) / B
-        for f in range(1, f_max + 1):
-            if f + phi(x + f) / B < target - tol:
-                return BellmanReport(False, (x, f))
+    low = x <= fl
+    bad = (np.where(low, f >= fl + 2 - x, True)
+           & (f + over(x + f) < np.where(low, rhs_low - x, over(x)) - tol))
+    first = np.flatnonzero(bad)
+    if first.size:
+        x0, f0 = divmod(int(first[0]), f_max)
+        return BellmanReport(False, (x0, f0 + 1))
     return BellmanReport(True, None)

@@ -5,7 +5,6 @@ exponential tilting of the model."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -150,15 +149,12 @@ class AtMinLaw:
 
 def atmin_law(spec: md.ModelSpec, q: float, x: int, cfg: QuadConfig = DEFAULT_CFG) -> AtMinLaw:
     """P_x(X_G = k) = Phi_q(x)/Phi_q(k) - Phi_q(x)/Phi_q(k-1) 1{k>=1}; telescopes to 1."""
-    if x != int(x) or x < 0:
-        raise DomainError("x must be a nonnegative integer")
-    x = int(x)
+    x = sc._check_x(x)
     if q < 0.0:
         raise DomainError("q must be >= 0")
-    logs = [sc.log_phi_fn(spec, q, k, cfg) for k in range(x + 1)]
-    ratio = [math.exp(logs[x] - lk) for lk in logs]
-    pmf = [ratio[k] - (ratio[k - 1] if k >= 1 else 0.0) for k in range(x + 1)]
-    return AtMinLaw(x=x, q=q, pmf=tuple(pmf))
+    logs = sc.log_phi_fn(spec, q, np.arange(x + 1), cfg)
+    ratio = np.exp(logs[x] - logs)
+    return AtMinLaw(x=x, q=q, pmf=tuple(np.diff(ratio, prepend=0.0).tolist()))
 
 
 def atmin_lt_G(spec: md.ModelSpec, q: float, alpha: float, x: int, k: int,
@@ -170,9 +166,8 @@ def atmin_lt_G(spec: md.ModelSpec, q: float, alpha: float, x: int, k: int,
         raise DomainError("need 0 <= k <= x")
     if alpha == 0.0 or k == x:
         return 1.0
-    f = lambda y: sc.log_phi_fn(spec, q, y, cfg)
-    g = lambda y: sc.log_phi_fn(spec, q + alpha, y, cfg)
-    return math.exp(g(x) - f(x) + f(k) - g(k))
+    f, g = (sc.log_phi_fn(spec, r, np.array([x, k]), cfg) for r in (q, q + alpha))
+    return math.exp(g[0] - f[0] + f[1] - g[1])
 
 
 def atmin_lt_residual(spec: md.ModelSpec, q: float, alpha: float, x: int, k: int,
@@ -189,9 +184,8 @@ def atmin_lt_residual(spec: md.ModelSpec, q: float, alpha: float, x: int, k: int
     head = q / (q + alpha)
     if k == 0:
         return head
-    f = lambda y: sc.log_phi_fn(spec, q, y, cfg)
-    g = lambda y: sc.log_phi_fn(spec, q + alpha, y, cfg)
-    return head * math.expm1(g(k) - g(k - 1)) / math.expm1(f(k) - f(k - 1))
+    f, g = (sc.log_phi_fn(spec, r, np.array([k, k - 1]), cfg) for r in (q, q + alpha))
+    return head * math.expm1(g[0] - g[1]) / math.expm1(f[0] - f[1])
 
 
 # ---------------------------------------------------------------------------
@@ -225,48 +219,32 @@ def conditioned_generator(spec: md.ModelSpec, q: float, x_max: int,
     if q < floor_q - 1e-12:
         raise PreconditionError(
             f"conditioned_generator needs q >= max(mu*(r~(varphi)-1), 0) = {floor_q!r}")
-    lam, mu = spec.lam, spec.mu
+    lam, mu_eff = spec.lam, spec.mu if spec.has_immigration else 0.0
     p0 = spec.offspring.prob0
     r_minus1 = spec.immigration.r_minus1 if spec.immigration.kind == "tabular" else 0.0
-    mu_eff = mu if spec.has_immigration else 0.0
-
+    # Upward jumps x -> x+k, k <= kmax, for all rows at once.  A row ends at its first k > 8
+    # with term < _JUMP_TAIL_TOL (kept), first zero weight past k_zero, or k = 100001.
+    k_zero = math.inf if spec.immigration.kind == "sibuya" else max(len(spec.offspring.pmf), 8)
+    x = np.arange(1, x_max + 1)
+    rate = q + mu_eff + lam * x
     kmax = 64
-    log_phi = functools.lru_cache(maxsize=None)(lambda y: sc.log_phi_fn(spec, q, y, cfg))
-
-    leave, rows = [], []
-    for x in range(1, x_max + 1):
-        rate = q + mu_eff + lam * x
-        leave.append(rate)
-        row: dict[int, float] = {}
-        if x >= 2:
-            row[x - 1] = ((p0 * lam * x + r_minus1 * mu_eff)
-                          * math.exp(log_phi(x - 1) - log_phi(x)) / rate)
-        # upward jumps x -> x+k, truncated where the tail stops moving the row sum
+    while True:
+        k = np.arange(1, kmax + 1)
+        logs = sc.log_phi_fn(spec, q, np.arange(x_max + kmax + 1), cfg)
         pk = spec.offspring.pmf_terms(kmax + 1)
-        _, rk = spec.immigration.pmf_terms(kmax) if spec.has_immigration else (0.0, np.zeros(kmax))
-        k = 1
-        while True:
-            if k > kmax:
-                kmax *= 2
-                pk = spec.offspring.pmf_terms(kmax + 1)
-                _, rk = spec.immigration.pmf_terms(kmax) if spec.has_immigration \
-                    else (0.0, np.zeros(kmax))
-            w = pk[k + 1] * lam * x + mu_eff * rk[k - 1]
-            if w > 0.0:
-                term = w * math.exp(log_phi(x + k) - log_phi(x)) / rate
-                if term > 0.0:
-                    row[x + k] = term
-                if term < _JUMP_TAIL_TOL and k > 8:
-                    break
-            elif k > max(len(spec.offspring.pmf), 8) and (
-                    spec.immigration.kind != "sibuya"):
-                break
-            if k > 100000:
-                break
-            k += 1
-        rows.append(row)
-    kill = (p0 * lam + r_minus1 * mu_eff) * math.exp(log_phi(0) - log_phi(1))
-    return ConditionedGenerator(x_max=x_max, leave_rates=tuple(leave),
+        w = np.multiply.outer(x, pk[2:] * lam) + mu_eff * spec.immigration.pmf_terms(kmax)[1]
+        with np.errstate(invalid="ignore", over="ignore"):
+            term = w * np.exp(logs[x[:, None] + k] - logs[x, None]) / rate[:, None]
+        stop = np.where(w > 0.0, (term < _JUMP_TAIL_TOL) & (k > 8), k > k_zero) | (k > 100000)
+        if stop.any(axis=1).all():
+            break
+        kmax *= 2
+    keep = (w > 0.0) & (term > 0.0) & (k <= np.argmax(stop, axis=1)[:, None] + 1)
+    down = (p0 * lam * x + r_minus1 * mu_eff) * np.exp(logs[x - 1] - logs[x]) / rate
+    rows = [({y - 1: d} if y >= 2 else {}) | dict(zip((y + k[s]).tolist(), t[s].tolist()))
+            for y, d, s, t in zip(x.tolist(), down.tolist(), keep, term)]
+    kill = (p0 * lam + r_minus1 * mu_eff) * math.exp(logs[0] - logs[1])
+    return ConditionedGenerator(x_max=x_max, leave_rates=tuple(rate.tolist()),
                                 jumps=tuple(rows), kill_rate=kill)
 
 

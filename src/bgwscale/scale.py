@@ -13,9 +13,11 @@ node by one blocked G7/K15 pass over all panels, each side cut once its terms
 fall _LOG_CUT below the running peak, failing panels inside the cut refined
 adaptively; levels refine until probe values settle.  Tables hold logs only,
 and ``ScaleTable.log_value`` is their one evaluator: m + log sum exp(lt - m)
-over the node terms lt, with an optional log kernel added on every node.
-Ratios such as Phi_q(x)/Phi_q(a) are exp of log differences (``log_phi_fn``,
-``log_phi_q_qbar_fn``), so they stay accurate where Phi itself underflows.
+over the node terms lt, with an optional log kernel added on every node.  It
+takes one level or a 1-D integer array of levels, reduced in blocks (bit for
+bit the scalar logs), and so do ``log_phi_fn`` and ``log_phi_q_qbar_fn``.
+Ratios such as Phi_q(x)/Phi_q(a) are exp of log differences, so they stay
+accurate where Phi itself underflows.
 """
 
 from __future__ import annotations
@@ -39,11 +41,13 @@ _DIVERGENCE_LOG = 500.0
 #: log of the distance from 1 of the last node of the (0, 1) chart
 _LOG_U_END = -math.pi * math.sinh(T_MAX)
 
-_PROBE_XS = (0, 1, 8, 24)
+_PROBE_XS = np.array([0, 1, 8, 24])
 #: (x, a) probes of end-anchored tables, which serve mean passage times: the
 #: raw integral there grows without bound as the step shrinks, the served
 #: differences do not.
-_PROBE_PASSAGES = ((1, 0), (8, 7), (24, 23), (24, 0))
+_PROBE_PASSAGES = np.array([(1, 0), (8, 7), (24, 23), (24, 0)]).T
+#: node terms per block (64 KiB) when levels are arrays: small blocks keep the heap flat
+_BLOCK = 1 << 13
 
 
 @dataclass
@@ -82,9 +86,9 @@ class ScaleTable:
         prev = None
         for level in range(5, 10):
             self._build_level(level)
-            probes = np.exp([self.log_value(a, self.log_one_minus_pow(x - a))
-                             for x, a in _PROBE_PASSAGES]
-                            if self.anchor_end else [self.log_value(x) for x in _PROBE_XS])
+            x, a = _PROBE_PASSAGES
+            probes = np.exp(self.log_value(a, self.log_one_minus_pow(x - a)) if self.anchor_end
+                            else self.log_value(_PROBE_XS))
             if prev is not None:
                 scale = np.maximum(np.abs(probes), 1e-300)
                 err = float(np.max(np.abs(probes - prev) / scale))
@@ -104,13 +108,14 @@ class ScaleTable:
         npts = len(pts.t)
         self.diagnostics.n_nodes = npts
 
+        # 1 - v exactly: db where the chart ends at 1
+        d_one, log_d_one = ((pts.db, pts.log_db) if self.high == 1.0
+                            else (1.0 - pts.v, np.log1p(-pts.v)))
         if self.branch == "lower":
             d_root, log_abs_droot = pts.db, pts.log_db
-            d_one = pts.db if self.high == 1.0 else 1.0 - pts.v
             logv = pts.log_da  # a = 0, so v = da exactly
         else:
             d_root, log_abs_droot = -pts.da, pts.log_da
-            d_one = pts.db
             logv = np.log1p(-pts.db)
         log_absD = self.gap.log_abs_den(pts.v, d_root, log_abs_droot, d_one)
 
@@ -157,9 +162,11 @@ class ScaleTable:
 
         self.pts = pts
         self.logv = logv
+        self.log_d_one = log_d_one  # log(1 - v), for kernels and pgf factors
         self.log_absD = log_absD
         self.logw = logw
         self.log_ts_w = log_ts_w
+        self.log_node = log_ts_w + logw - log_absD
 
     def _ladder_len(self, terms: np.ndarray, best: float) -> tuple[int, float]:
         """Steps a ladder takes before a node term falls _LOG_CUT below the
@@ -178,32 +185,45 @@ class ScaleTable:
 
     # -- evaluation -----------------------------------------------------------
 
-    def log_value(self, x: float, extra: np.ndarray | float = 0.0,
-                  weight: np.ndarray | None = None) -> float:
+    def log_value(self, x, extra: np.ndarray | float = 0.0, weight: np.ndarray | None = None):
         """log of the table integral at level x, with ``extra`` added to the log
         integrand on every node: m + log sum exp(lt - m) over the node terms lt,
         -inf when every term is -inf.  ``weight`` replaces the node weight
-        logw - log|D| for the special forms that do not use it."""
-        lt = (self.log_ts_w + self.logw - self.log_absD if weight is None
-              else self.log_ts_w + weight) + x * self.logv + extra
-        m = float(np.max(lt))
-        if m == -math.inf:
-            return m
-        return m + math.log(float(np.sum(np.exp(lt - m))))
+        logw - log|D| for the special forms that do not use it.  ``x`` may be a
+        1-D integer array of levels (``extra`` then one row per level or one
+        for all), reduced _BLOCK node terms at a time, bit for bit the scalars."""
+        base = self.log_node if weight is None else self.log_ts_w + weight
+        if not isinstance(x, np.ndarray) or x.ndim == 0:
+            lt = base + x * self.logv + extra
+            m = float(np.max(lt))
+            return m if m == -math.inf else m + float(np.log(np.sum(np.exp(lt - m))))
+        extra = np.asarray(extra)
+        out = np.empty(len(x))
+        rows = max(1, _BLOCK // base.size)
+        for i in range(0, len(x), rows):
+            blk = slice(i, i + rows)
+            lt = np.multiply.outer(x[blk], self.logv)
+            lt += base
+            lt += extra[blk] if extra.ndim == 2 else extra
+            m = np.max(lt, axis=1)
+            m[m == -np.inf] = 0.0  # all-(-inf) rows sum to 0 and give -inf
+            lt -= m[:, None]
+            with np.errstate(divide="ignore"):
+                out[blk] = m + np.log(np.sum(np.exp(lt, out=lt), axis=1))
+        return out
 
-    def log_one_minus_pow(self, n: int) -> np.ndarray:
-        """log(1 - v^n) on the nodes: the mean passage kernel v^a - v^x is
-        v^a (1 - v^(x-a))."""
+    def log_one_minus_pow(self, n) -> np.ndarray:
+        """log(1 - v^n) on the nodes (one row per n for an array n): the mean
+        passage kernel v^a - v^x is v^a (1 - v^(x-a))."""
         with np.errstate(divide="ignore"):
-            return np.log(-np.expm1(n * self.logv))
+            return np.log(-np.expm1(np.multiply.outer(n, self.logv)))
 
     def log_pgf_factors(self) -> tuple[np.ndarray, np.ndarray | None]:
         """(log p~(v_i), log r~(v_i)) on the nodes, for generating-function sums."""
         log_p = np.log(self.spec.offspring.pgf(np.clip(self.pts.v, 1e-300, 1.0)))
         log_r = None
         if self.spec.has_immigration:
-            imm = self.spec.immigration
-            d_one = self.pts.db if self.high == 1.0 else 1.0 - self.pts.v
+            imm, d_one = self.spec.immigration, np.exp(self.log_d_one)
             log_r = np.log(np.maximum(1.0 - imm.one_minus_pgf(self.pts.v, d_one), 1e-300))
             # culling makes r~ blow up like r_-1/v near 0; take that term alone there
             if imm.kind == "tabular" and imm.r_minus1 > 0.0:
@@ -243,22 +263,30 @@ def _table(spec: md.ModelSpec, q: float, *, qbar: float = 0.0, branch: str = "lo
 # public scale functions
 # ---------------------------------------------------------------------------
 
-def _check_x(x) -> int:
-    if x != int(x) or x < 0:
-        raise DomainError("x must be a nonnegative integer")
-    return int(x)
+def _check_x(x):
+    """One nonnegative integer level as an int, or a 1-D array of them as int64."""
+    if not isinstance(x, np.ndarray) or x.ndim == 0:
+        if x != int(x) or x < 0:
+            raise DomainError("x must be a nonnegative integer")
+        return int(x)
+    with np.errstate(invalid="ignore"):
+        xi = x.astype(np.int64)
+    if xi.ndim != 1 or not np.array_equal(xi, x) or np.any(xi < 0):
+        raise DomainError("levels must be a 1-D array of nonnegative integers")
+    return xi
 
 
 class _Resolved(NamedTuple):
     """One scale function at one parameter point: base**x on the power-function
     branch (``tbl`` is None; values are base**x bit for bit), else
-    exp(log_pref) times the table integral."""
+    exp(log_pref) times the table integral.  ``log`` takes one level or a 1-D
+    array of levels."""
 
     base: float = math.nan
     log_pref: float = 0.0
     tbl: ScaleTable | None = None
 
-    def log(self, x, extra: np.ndarray | float = 0.0) -> float:
+    def log(self, x, extra: np.ndarray | float = 0.0):
         x = _check_x(x)
         if self.tbl is None:
             return x * math.log(self.base) + extra
@@ -377,9 +405,10 @@ def phi_fn(spec: md.ModelSpec, q: float, x: int, cfg: QuadConfig = DEFAULT_CFG) 
     return _phi(spec, q, cfg).value(x)
 
 
-def log_phi_fn(spec: md.ModelSpec, q: float, x: int, cfg: QuadConfig = DEFAULT_CFG) -> float:
+def log_phi_fn(spec: md.ModelSpec, q: float, x, cfg: QuadConfig = DEFAULT_CFG):
     """log Phi_q(x), finite where Phi_q(x) itself underflows; ratios
-    Phi_q(x)/Phi_q(a) are exp(log_phi_fn(x) - log_phi_fn(a))."""
+    Phi_q(x)/Phi_q(a) are exp(log_phi_fn(x) - log_phi_fn(a)).  ``x`` may be a
+    1-D integer array of levels (one log-sum-exp for all of them)."""
     return _phi(spec, q, cfg).log(x)
 
 
@@ -408,9 +437,10 @@ def phi_q_qbar_fn(spec: md.ModelSpec, q: float, qbar: float, x: int,
     return _phi_q_qbar(spec, q, qbar, cfg).value(x)
 
 
-def log_phi_q_qbar_fn(spec: md.ModelSpec, q: float, qbar: float, x: int,
-                      cfg: QuadConfig = DEFAULT_CFG) -> float:
-    """log Phi_{q,qbar}(x), the log counterpart of ``phi_q_qbar_fn``."""
+def log_phi_q_qbar_fn(spec: md.ModelSpec, q: float, qbar: float, x,
+                      cfg: QuadConfig = DEFAULT_CFG):
+    """log Phi_{q,qbar}(x), the log counterpart of ``phi_q_qbar_fn``; ``x`` may
+    be a 1-D integer array of levels."""
     return _phi_q_qbar(spec, q, qbar, cfg).log(x)
 
 

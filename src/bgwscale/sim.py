@@ -17,7 +17,7 @@ analytic CLI command) never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class SimConfig:
     max_jumps: int = 10_000_000
     explosion_threshold: int = 1_000_000
     horizon: float = math.inf
-    q: float = 0.0  # rate of the independent exponential clock, when simulated
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -224,9 +223,8 @@ def _run_batch(spec: md.ModelSpec, x0: int, a: int, cfg: SimConfig,
     if not (x0 >= a >= 0):
         raise DomainError("need x0 >= a >= 0")
     n = cfg.n_paths
-    lam, mu = spec.lam, spec.mu
-    has_imm = spec.has_immigration
-    mu_eff = mu if has_imm else 0.0
+    lam, has_imm = spec.lam, spec.has_immigration
+    mu_eff = spec.mu if has_imm else 0.0
     off = _OffspringSampler(spec.offspring)
     imm = _ImmigrationSampler(spec.immigration) if has_imm else None
 
@@ -239,18 +237,17 @@ def _run_batch(spec: md.ModelSpec, x0: int, a: int, cfg: SimConfig,
         pop=np.full(n, x0, dtype=np.int64),
         clock=np.full(n, math.inf),
     )
-    pid_all = np.arange(n, dtype=np.int64)
+    pid = np.arange(n, dtype=np.int64)  # live path indices; rebound, never written
     if qclock is not None:
         if qclock <= 0.0:
             raise DomainError("qclock must be > 0")
-        res.clock = -np.log(_u01(cfg.seed, pid_all, np.zeros(n, dtype=np.int64), 3)) / qclock
+        res.clock = -np.log(_u01(cfg.seed, pid, np.zeros(n, dtype=np.int64), 3)) / qclock
 
     if x0 == a:
         res.status[:] = HIT
         return res
 
     # live working set
-    pid = pid_all.copy()
     pop = res.pop.copy()
     t = np.zeros(n)
     area = np.zeros(n)
@@ -259,10 +256,10 @@ def _run_batch(spec: md.ModelSpec, x0: int, a: int, cfg: SimConfig,
     steps = np.zeros(n, dtype=np.int64)
     clock = res.clock.copy()
 
-    def finalize(mask: np.ndarray, status_val: int, at_time: np.ndarray | None = None):
+    def finalize(mask: np.ndarray, status: np.ndarray, time: np.ndarray, area: np.ndarray):
         idx = pid[mask]
-        res.status[idx] = status_val
-        res.time[idx] = t[mask] if at_time is None else at_time[mask]
+        res.status[idx] = status[mask]
+        res.time[idx] = time[mask]
         res.area[idx] = area[mask]
         res.min_level[idx] = minlev[mask]
         res.t_last_min[idx] = tmin[mask]
@@ -276,34 +273,14 @@ def _run_batch(spec: md.ModelSpec, x0: int, a: int, cfg: SimConfig,
         t_next = t + hold
 
         ringing = t_next >= clock
-        if np.any(ringing):
-            area_at = area + pop * (clock - t)
-            sel = ringing
-            idx = pid[sel]
-            res.status[idx] = CLOCK_RING
-            res.time[idx] = clock[sel]
-            res.area[idx] = area_at[sel]
-            res.min_level[idx] = minlev[sel]
-            res.t_last_min[idx] = tmin[sel]
-            res.jumps[idx] = steps[sel]
-            res.pop[idx] = pop[sel]
-        timing_out = (~ringing) & (t_next >= cfg.horizon)
-        if np.any(timing_out):
-            sel = timing_out
-            idx = pid[sel]
-            res.status[idx] = CENSORED_TIME
-            res.time[idx] = cfg.horizon
-            res.area[idx] = (area + pop * (cfg.horizon - t))[sel]
-            res.min_level[idx] = minlev[sel]
-            res.t_last_min[idx] = tmin[sel]
-            res.jumps[idx] = steps[sel]
-            res.pop[idx] = pop[sel]
-        live = ~(ringing | timing_out)
-        if not np.all(live):
+        stop = ringing | (t_next >= cfg.horizon)
+        if np.any(stop):
+            t_stop = np.where(ringing, clock, cfg.horizon)
+            finalize(stop, np.where(ringing, CLOCK_RING, CENSORED_TIME), t_stop,
+                     area + pop * (t_stop - t))
+            live = ~stop
             pid, pop, t, area, minlev, tmin, steps, clock, t_next, rate = (
                 arr[live] for arr in (pid, pop, t, area, minlev, tmin, steps, clock, t_next, rate))
-            if pid.size == 0:
-                break
 
         area = area + pop * (t_next - t)
         t = t_next
@@ -324,14 +301,12 @@ def _run_batch(spec: md.ModelSpec, x0: int, a: int, cfg: SimConfig,
         minlev = np.where(lower, pop, minlev)
         tmin = np.where(lower, t, tmin)
 
-        hit = pop <= a
-        exceeded = (~hit) & (pop >= cfg.explosion_threshold)
-        exhausted = (~hit) & (~exceeded) & (steps >= cfg.max_jumps)
-        finalize(hit, HIT)
-        finalize(exceeded, THRESHOLD)
-        finalize(exhausted, CENSORED_JUMPS)
-        live = ~(hit | exceeded | exhausted)
-        if not np.all(live):
+        hit, exceeded = pop <= a, pop >= cfg.explosion_threshold
+        stop = hit | exceeded | (steps >= cfg.max_jumps)
+        if np.any(stop):
+            finalize(stop, np.where(hit, HIT, np.where(exceeded, THRESHOLD, CENSORED_JUMPS)),
+                     t, area)
+            live = ~stop
             pid, pop, t, area, minlev, tmin, steps, clock = (
                 arr[live] for arr in (pid, pop, t, area, minlev, tmin, steps, clock))
     return res
@@ -340,10 +315,7 @@ def _run_batch(spec: md.ModelSpec, x0: int, a: int, cfg: SimConfig,
 def simulate_path(spec: md.ModelSpec, x0: int, a: int, qclock: float | None = None,
                   cfg: SimConfig = SimConfig(), path_index: int = 0) -> PathOutcome:
     """Single path; ``path_index`` selects the counter-based stream within the seed."""
-    sub = SimConfig(seed=cfg.seed, n_paths=path_index + 1, max_jumps=cfg.max_jumps,
-                    explosion_threshold=cfg.explosion_threshold, horizon=cfg.horizon,
-                    q=cfg.q)
-    res = _run_batch(spec, x0, a, sub, qclock=qclock)
+    res = _run_batch(spec, x0, a, replace(cfg, n_paths=path_index + 1), qclock=qclock)
     i = path_index
     return PathOutcome(kind=_KIND[int(res.status[i])], terminal_time=float(res.time[i]),
                        min_level=int(res.min_level[i]), t_last_min=float(res.t_last_min[i]),
@@ -419,9 +391,7 @@ def estimate_explosion(spec: md.ModelSpec, q: float, x: int, a: int,
     if not md.is_explosive(spec):
         raise PreconditionError("estimate_explosion requires an explosive chain")
     w, censored = _explosion_weights(spec, q, x, a, cfg)
-    cfg10 = SimConfig(seed=cfg.seed, n_paths=cfg.n_paths, max_jumps=cfg.max_jumps,
-                      explosion_threshold=max(2, cfg.explosion_threshold // 10),
-                      horizon=cfg.horizon, q=cfg.q)
+    cfg10 = replace(cfg, explosion_threshold=max(2, cfg.explosion_threshold // 10))
     w10, _ = _explosion_weights(spec, q, x, a, cfg10)
     diag = {"proxy_delta": float(np.mean(w10) - np.mean(w)),
             "proxy_threshold": cfg.explosion_threshold}

@@ -189,6 +189,15 @@ class TestControlCommands:
         assert r.exit_code == 0
         assert json.loads(r.stdout)["ok"] is True
 
+    def test_value_at_deep_floor(self, runner, tmp_path):
+        # Phi_q(701) and B(700) underflow; the value is taken from log differences
+        path = tmp_path / "binary.json"
+        md.dump_model(md.make_spec(md.OffspringLaw.tabular({0: 0.25, 2: 0.75}), 2.0), path)
+        r = _invoke(runner, ["control", "value", "--model", str(path), "--q", "1",
+                             "--floor", "700", "--x", "0"])
+        assert r.exit_code == 0
+        assert json.loads(r.stdout)["value"] == pytest.approx(701.4989338954748, rel=1e-10)
+
     def test_rejects_immigration_model(self, runner, model_dir):
         r = _invoke(runner, ["control", "value", "--model", str(model_dir / "m3.json"),
                              "--q", "0.5", "--x", "1"])

@@ -5,7 +5,9 @@ import pytest
 
 from bgwscale import control as ctl
 from bgwscale import model as md
+from bgwscale import scale as sc
 from bgwscale.errors import PreconditionError
+from test_sweep import _log_steps
 
 LOG15 = math.log(1.5)
 PHI1 = 3 - 6 * LOG15            # Phi_0.5(1) on m1
@@ -100,3 +102,66 @@ class TestBellman:
     def test_supercritical_q0(self, m2prime):
         rep = ctl.verify_bellman(ctl.ControlProblem(m2prime, 0, 0.0), 12, 12)
         assert rep.ok
+
+
+class TestDeepFloor:
+    """Binary p0 = 1/4, p2 = 3/4, lam = 2, q = 1 (phi_q = 0 < varphi = 1/3):
+    Phi_q(a) underflows near a = 700.  The oracle is W_a(0) = a + 1 + r/(1 - r)
+    with r = Phi(a+1)/Phi(a) from the birth-death continued fraction
+    (b(y) = 1.5 y, d(y) = 0.5 y)."""
+
+    @pytest.fixture(scope="class")
+    def spec(self):
+        return md.make_spec(md.OffspringLaw.tabular({0: 0.25, 2: 0.75}), 2.0)
+
+    @pytest.mark.parametrize("a", [700, 800])
+    def test_value_matches_birth_death(self, spec, a):
+        r = math.exp(_log_steps(0.75, 2.0, 0, 0.0, 1.0)[a + 1])
+        got = ctl.barrier_value(ctl.ControlProblem(spec, 0, 1.0), a, 0)
+        assert got == pytest.approx(a + 1 + r / (1 - r), rel=1e-10, abs=0.0)
+
+    def test_power_branch_past_underflow(self, m2prime):
+        # Phi_0 = 2^-x on m2'; B(1100) underflows, Phi(a+1)/B(a) = 1 exactly
+        p = ctl.ControlProblem(m2prime, 0, 0.0)
+        assert ctl.barrier_gap(p, 1100) == 0.0
+        assert ctl.barrier_value(p, 1100, 0) == pytest.approx(1102.0, rel=1e-12)
+        assert ctl.barrier_value(p, 1100, 1103) == pytest.approx(0.25, rel=1e-12)
+
+    def test_bellman_at_deep_floor(self, spec):
+        p = ctl.ControlProblem(spec, 700, 1.0)
+        assert ctl.verify_bellman(p, 705, 6) == ctl.BellmanReport(True, None)
+
+
+def _first_violation(problem, x_max, f_max, B):
+    """The grid check as scalar loops over linear values."""
+    fl = problem.floor
+    phi = lambda y: sc.phi_fn(problem.spec, problem.q, y)
+    rhs_low = fl + 1 + phi(fl + 1) / B
+    tol = 1e-9 * max(1.0, rhs_low)
+    for x in range(0, fl + 1):
+        for f in range(fl + 2 - x, f_max + 1):
+            if f + phi(x + f) / B < rhs_low - x - tol:
+                return (x, f)
+    for x in range(fl + 1, x_max + 1):
+        for f in range(1, f_max + 1):
+            if f + phi(x + f) / B < phi(x) / B - tol:
+                return (x, f)
+    return None
+
+
+@pytest.mark.parametrize("shrink", [3.0, 10.0])
+def test_bellman_first_counterexample_order(m1, m2prime, monkeypatch, shrink):
+    """With B(floor) shrunk the inequalities fail; the array check must report
+    the first failing (x, f) of the loop order."""
+    real = ctl._gap
+    monkeypatch.setattr(ctl, "_gap", lambda problem, a, cfg: (
+        lambda r, gap, log_gap: (r, gap / shrink, log_gap - math.log(shrink)))(
+            *real(problem, a, cfg)))
+    seen = set()
+    for p in (ctl.ControlProblem(m1, 0, 0.5), ctl.ControlProblem(m1, 2, 0.5),
+              ctl.ControlProblem(m2prime, 1, 0.0)):
+        for x_max, f_max in ((10, 10), (1, 4), (6, 1)):
+            want = _first_violation(p, x_max, f_max, ctl.barrier_gap(p, p.floor))
+            assert ctl.verify_bellman(p, x_max, f_max).counterexample == want
+            seen.add(want)
+    assert len(seen) > 2

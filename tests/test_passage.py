@@ -319,6 +319,46 @@ class TestConditionedGenerator:
         assert sum(gen.jumps[1].values()) == pytest.approx(1.0, abs=1e-8)
 
 
+def _generator_rows(spec, q, x_max):
+    """Rows of the conditioned generator by scalar loops over levels: each
+    row's upward jumps end at the first k > 8 whose term is below 1e-14
+    (that term kept), at the first zero weight past max(len(pmf), 8)
+    (never with Sibuya immigration), or after k = 100001."""
+    lam, mu_eff = spec.lam, spec.mu if spec.has_immigration else 0.0
+    p0 = spec.offspring.prob0
+    r_minus1 = spec.immigration.r_minus1 if spec.immigration.kind == "tabular" else 0.0
+    log_phi = lambda y: sc.log_phi_fn(spec, q, y)
+    pk = spec.offspring.pmf_terms(1 << 12)
+    rk = spec.immigration.pmf_terms(1 << 12)[1]
+    rows = []
+    for x in range(1, x_max + 1):
+        rate = q + mu_eff + lam * x
+        row = {x - 1: (p0 * lam * x + r_minus1 * mu_eff)
+               * math.exp(log_phi(x - 1) - log_phi(x)) / rate} if x >= 2 else {}
+        for k in range(1, 100002):
+            w = pk[k + 1] * lam * x + mu_eff * rk[k - 1]
+            if w > 0.0:
+                term = w * math.exp(log_phi(x + k) - log_phi(x)) / rate
+                if term > 0.0:
+                    row[x + k] = term
+                if term < 1e-14 and k > 8:
+                    break
+            elif k > max(len(spec.offspring.pmf), 8) and spec.immigration.kind != "sibuya":
+                break
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("name, q", [("m1", 0.5), ("m2", 1.0), ("m2", 4.0), ("m3", 1.0),
+                                     ("m4", 1.0), ("m5", 1.0)])
+def test_conditioned_generator_matches_level_loops(name, q, request):
+    spec = request.getfixturevalue(name)
+    gen = ps.conditioned_generator(spec, q, 8)
+    for got, want in zip(gen.jumps, _generator_rows(spec, q, 8), strict=True):
+        assert list(got) == list(want)
+        assert list(got.values()) == pytest.approx(list(want.values()), rel=1e-14, abs=0.0)
+
+
 class TestTiltedModel:
     def test_m2_at_qbar0(self, m2):
         tilted = ps.tilted_model(m2, 0.0)

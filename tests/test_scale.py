@@ -382,3 +382,51 @@ class TestPhiFn:
     def test_negative_q_is_domain_error(self, m1):
         with pytest.raises(DomainError):
             sc.phi_fn(m1, -1.0, 1)
+
+
+class TestLevelArrays:
+    """``log_phi_fn`` and ``log_phi_q_qbar_fn`` over a level array: one
+    log-sum-exp per block of levels, bit for bit the scalar calls."""
+
+    XS = np.arange(700)
+
+    def _same_as_scalar(self, fn):
+        got = fn(self.XS)
+        want = np.array([fn(int(x)) for x in self.XS])
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_passage_warm_rates(self, m1, m2, m3, m4, m5):
+        for spec, qs in ((m1, (0.5, 1.0, 2.0)), (m2, (1.0, 2.0, 4.0)), (m3, (0.5, 1.0, 2.0)),
+                         (m4, (1.0, 2.0)), (m5, (0.0, 1.0, 2.0))):
+            for q in qs:
+                self._same_as_scalar(lambda x: sc.log_phi_fn(spec, q, x))
+
+    def test_tie_branch(self, m2):
+        assert sc._phi(m2, 1.0, quad.DEFAULT_CFG).tbl is None
+        self._same_as_scalar(lambda x: sc.log_phi_fn(m2, 1.0, x))
+
+    def test_phi_q_qbar(self, m1):
+        for q, qbar in ((0.5, 0.5), (1.0, 1.0)):
+            self._same_as_scalar(lambda x: sc.log_phi_q_qbar_fn(m1, q, qbar, x))
+
+    def test_end_anchored_kernel_rows(self, m1):
+        tbl = sc._table(m1, 0.0, numerator="imm", theta=0.0, anchor_end=True)
+        x, a = np.array([5, 30, 30]), np.array([0, 29, 0])
+        got = tbl.log_value(a, tbl.log_one_minus_pow(x - a))
+        assert np.array_equal(got, [tbl.log_value(int(ai), tbl.log_one_minus_pow(int(xi - ai)))
+                                    for xi, ai in zip(x, a)])
+
+    def test_empty_rows_are_minus_inf(self, m1):
+        tbl = sc._table(m1, 0.5)
+        extra = np.zeros((2, tbl.logv.size))
+        extra[1] = -np.inf
+        got = tbl.log_value(np.array([3, 3]), extra)
+        assert got[0] == tbl.log_value(3) and got[1] == -math.inf
+
+    @pytest.mark.parametrize("xs", [np.array([0, -1]), np.array([0.0, 1.5]),
+                                    np.array([1.0, np.nan]), np.array([[1, 2]])])
+    def test_bad_levels_are_domain_errors(self, m1, m2, xs):
+        for fn in (lambda x: sc.log_phi_fn(m1, 0.5, x), lambda x: sc.log_phi_fn(m2, 1.0, x),
+                   lambda x: sc.log_phi_q_qbar_fn(m1, 0.5, 0.5, x)):
+            with pytest.raises(DomainError):
+                fn(xs)
