@@ -18,7 +18,7 @@ import numpy as np
 
 from . import model as md
 from . import scale as sc
-from .errors import DomainError, PreconditionError
+from .errors import PreconditionError, check_level, check_rate
 from .quad import DEFAULT_CFG, QuadConfig
 
 
@@ -33,10 +33,8 @@ class ControlProblem:
             raise PreconditionError(
                 "control problems require a pure branching model (mu = 0); "
                 "endogenous immigration mixed with control is not supported")
-        if self.floor < 0 or self.floor != int(self.floor):
-            raise DomainError("floor must be a nonnegative integer")
-        if self.q < 0.0:
-            raise DomainError("q must be >= 0")
+        check_level(self.floor, "floor")
+        check_rate(self.q, "q")
         if self.q == 0.0 and md.root_varphi(self.spec) >= 1.0:
             raise PreconditionError(
                 "q = 0 requires supercritical branching (value is infinite otherwise)")
@@ -48,6 +46,7 @@ def _gap(problem: ControlProblem, a: int, cfg: QuadConfig) -> tuple[sc._Resolved
     varphi^a - varphi^(a+1) exactly on the power branch."""
     if a < problem.floor:
         raise PreconditionError("barrier must sit at or above the floor")
+    a = check_level(a, "a")
     r = sc._phi(problem.spec, problem.q, cfg)
     if r.tbl is None:
         log_gap = a * math.log(r.base) + (math.log1p(-r.base) if r.base < 1.0 else -math.inf)
@@ -97,7 +96,7 @@ def verify_bellman(problem: ControlProblem, x_max: int, f_max: int,
     the levels floor+1..max(floor, x_max)+f_max (the only ones the checks read,
     so Phi(y)/B cannot overflow); the first violation in (x, f) order is reported.
     """
-    fl = problem.floor
+    fl, x_max, f_max = problem.floor, check_level(x_max, "x_max"), check_level(f_max, "f_max")
     r, _, log_gap = _gap(problem, fl, cfg)
     x = np.arange(max(fl, x_max) + 1)[:, None]
     f = np.arange(1, f_max + 1)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two argument-domain checks."""
+
+import math
 
 
 class ModelError(ValueError):
@@ -47,3 +49,17 @@ class QuadratureError(RuntimeError):
 
 class AdmissibilityError(RuntimeError):
     """A control policy let the population reach the protected floor."""
+
+
+def check_rate(value, name: str, positive: bool = False) -> float:
+    """A finite rate >= 0 (> 0 with ``positive``) as a float; else DomainError."""
+    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        raise DomainError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
+    return float(value)
+
+
+def check_level(value, name: str = "x", low: int = 0) -> int:
+    """A finite integer level >= ``low`` as an int; else DomainError."""
+    if not (math.isfinite(value) and value == int(value) and value >= low):
+        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)

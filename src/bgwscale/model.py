@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, ModelError, NoImmigrationError
+from .errors import DomainError, ModelError, NoImmigrationError, check_rate
 
 _PMF_SUM_TOL = 1e-12
 #: |pgf'(varphi) - 1| below this is reported as critical tangency (diagnostic only).
@@ -273,10 +273,11 @@ class ModelSpec:
 def make_spec(offspring: OffspringLaw, lam: float,
               immigration: ImmigrationLaw | None = None, mu: float = 0.0) -> ModelSpec:
     """Construct a ModelSpec, removing p_1 (tabular) by conditioning and rescaling lam."""
-    if lam <= 0.0:
-        raise ModelError("lam must be > 0")
-    if mu < 0.0:
-        raise ModelError("mu must be >= 0")
+    try:
+        check_rate(lam, "lam", positive=True)
+        check_rate(mu, "mu")
+    except DomainError as exc:
+        raise ModelError(str(exc)) from None
     immigration = immigration if immigration is not None else ImmigrationLaw.none()
     original = lam
     if offspring.kind == "tabular" and offspring.prob1 > 0.0:
@@ -321,10 +322,10 @@ def validate(spec: ModelSpec) -> list[str]:
             out.append("p_1 != 0 after normalization")
     if off.prob0 <= 0.0:
         out.append("p_0 > 0 violated")
-    if spec.lam <= 0.0:
-        out.append("lam > 0 violated")
-    if spec.mu < 0.0:
-        out.append("mu >= 0 violated")
+    if not (math.isfinite(spec.lam) and spec.lam > 0.0):
+        out.append("finite lam > 0 violated")
+    if not (math.isfinite(spec.mu) and spec.mu >= 0.0):
+        out.append("finite mu >= 0 violated")
     imm = spec.immigration
     if imm.kind == "tabular":
         total = float(imm.r_minus1 + np.sum(imm.pmf_up))
@@ -363,9 +364,10 @@ def pgf_immigration(law: ImmigrationLaw, v: float) -> float:
 # ---------------------------------------------------------------------------
 
 _BRACKET_EPS = 1e-14
+_ROOT_TOL = 1e-13  # bracket width at which the bisection hands over to Newton
 
 
-def _bisect_newton(f, fprime, lo: float, hi: float, tol: float) -> float:
+def _bisect_newton(f, fprime, lo: float, hi: float) -> float:
     """Root of f on [lo, hi] with f(lo) > 0 > f(hi): bisection then Newton polish."""
     flo, fhi = f(lo), f(hi)
     if flo <= 0.0:
@@ -374,7 +376,7 @@ def _bisect_newton(f, fprime, lo: float, hi: float, tol: float) -> float:
         return hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi or hi - lo < 0.25 * tol:
+        if mid == lo or mid == hi or hi - lo < 0.25 * _ROOT_TOL:
             break
         fm = f(mid)
         if fm > 0.0:
@@ -397,7 +399,7 @@ def _bisect_newton(f, fprime, lo: float, hi: float, tol: float) -> float:
 
 
 @lru_cache(maxsize=_ROOT_CACHE_MAX)
-def root_varphi(spec: ModelSpec, tol: float = 1e-13) -> float:
+def root_varphi(spec: ModelSpec) -> float:
     """Smallest root of p~(z) = z in (0,1]; exactly 1 unless supercritical."""
     require_valid(spec)
     off = spec.offspring
@@ -408,16 +410,15 @@ def root_varphi(spec: ModelSpec, tol: float = 1e-13) -> float:
         return 1.0
     f = lambda z: off.pgf(z) - z
     fp = lambda z: off.pgf_prime(z) - 1.0
-    return _bisect_newton(f, fp, _BRACKET_EPS, 1.0 - _BRACKET_EPS, tol)
+    return _bisect_newton(f, fp, _BRACKET_EPS, 1.0 - _BRACKET_EPS)
 
 
 @lru_cache(maxsize=_ROOT_CACHE_MAX)
-def root_phi_q(spec: ModelSpec, q: float, tol: float = 1e-13) -> float:
+def root_phi_q(spec: ModelSpec, q: float) -> float:
     """Root phi_q of q = mu*(r~(z)-1); 0 when mu*r_-1 = 0; for q = 0 the smaller
     root phi of r~(z) = 1 in (0,1] (1 if no interior root exists)."""
     require_valid(spec)
-    if q < 0.0:
-        raise DomainError("q must be >= 0")
+    check_rate(q, "q")
     if not spec.has_culling:
         return 0.0
     imm, mu = spec.immigration, spec.mu
@@ -428,25 +429,24 @@ def root_phi_q(spec: ModelSpec, q: float, tol: float = 1e-13) -> float:
     else:
         f = lambda z: mu * (imm.pgf(z) - 1.0) - q
     fp = lambda z: mu * imm.pgf_prime(z) if q > 0.0 else imm.pgf_prime(z)
-    return _bisect_newton(f, fp, _BRACKET_EPS, 1.0 - _BRACKET_EPS, tol)
+    return _bisect_newton(f, fp, _BRACKET_EPS, 1.0 - _BRACKET_EPS)
 
 
 @lru_cache(maxsize=_ROOT_CACHE_MAX)
-def root_varphi_qbar(spec: ModelSpec, qbar: float, tol: float = 1e-13) -> float:
+def root_varphi_qbar(spec: ModelSpec, qbar: float) -> float:
     """Unique root of (lam+qbar)/lam = p~(z)/z in (0,1) for qbar > 0; varphi at qbar = 0."""
     require_valid(spec)
-    if qbar < 0.0:
-        raise DomainError("qbar must be >= 0")
+    check_rate(qbar, "qbar")
     if qbar == 0.0:
-        return root_varphi(spec, tol)
+        return root_varphi(spec)
     lam = spec.lam
     off = spec.offspring
     f = lambda z: lam * (off.pgf(z) - z) - qbar * z
     fp = lambda z: lam * (off.pgf_prime(z) - 1.0) - qbar
-    return _bisect_newton(f, fp, _BRACKET_EPS, 1.0 - _BRACKET_EPS, tol)
+    return _bisect_newton(f, fp, _BRACKET_EPS, 1.0 - _BRACKET_EPS)
 
 
-def is_explosive(spec: ModelSpec, tol: float = 1e-13) -> bool:
+def is_explosive(spec: ModelSpec) -> bool:
     """Whether the chain can reach infinity in finite time.
 
     Finite-support offspring laws are never explosive (the gap z - p~(z)
@@ -457,7 +457,7 @@ def is_explosive(spec: ModelSpec, tol: float = 1e-13) -> bool:
     require_valid(spec)
     if spec.offspring.kind == "tabular":
         return False
-    return root_varphi(spec, tol) < 1.0
+    return root_varphi(spec) < 1.0
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import model as md
 from . import scale as sc
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, check_level, check_rate
 from .quad import DEFAULT_CFG, QuadConfig
 
 __all__ = [
@@ -25,20 +25,17 @@ __all__ = [
 ]
 
 
-def _check_levels(x: int, a: int) -> tuple[int, int]:
-    if x != int(x) or a != int(a) or a < 0:
-        raise DomainError("levels must be nonnegative integers")
-    if a > x:
-        raise DomainError("need a <= x")
-    return int(x), int(a)
+def _check_levels(x: int, a: int, name: str = "a") -> tuple[int, int]:
+    """Levels x and a as ints; x must be at or above a."""
+    a = check_level(a, name)
+    return check_level(x, low=a), a
 
 
 def lt_first_passage(spec: md.ModelSpec, q: float, x: int, a: int,
                      cfg: QuadConfig = DEFAULT_CFG) -> float:
     """P_x[e^{-q T_a^-}; T_a^- < inf] = Phi_q(x)/Phi_q(a), for phi_q <= varphi."""
     x, a = _check_levels(x, a)
-    if q < 0.0:
-        raise DomainError("q must be >= 0")
+    check_rate(q, "q")
     if x == a:
         return 1.0
     return math.exp(sc.log_phi_fn(spec, q, x, cfg) - sc.log_phi_fn(spec, q, a, cfg))
@@ -62,8 +59,7 @@ def lt_explosion_before(spec: md.ModelSpec, q: float, x: int, a: int,
                         cfg: QuadConfig = DEFAULT_CFG) -> float:
     """P_x[e^{-q zeta}; zeta < T_a^-] = Psi_q(x) - Psi_q(a) Phi_q(x)/Phi_q(a)."""
     x, a = _check_levels(x, a)
-    if q <= 0.0:
-        raise DomainError("q must be > 0")
+    check_rate(q, "q", positive=True)
     if x == a:
         return 0.0
     psi_x = sc.psi_q_fn(spec, q, x, cfg)
@@ -104,15 +100,14 @@ def mean_first_passage(spec: md.ModelSpec, x: int, a: int,
 
 def mean_explosion(spec: md.ModelSpec, x: int, cfg: QuadConfig = DEFAULT_CFG) -> float:
     """P_x[zeta; zeta < inf] for pure branching (mu = 0) explosive chains."""
-    if x < 1 or x != int(x):
-        raise DomainError("x must be >= 1")
+    x = check_level(x, low=1)
     if spec.mu != 0.0:
         raise PreconditionError("mean_explosion requires mu = 0")
     if not md.is_explosive(spec):
         raise PreconditionError("mean_explosion requires an explosive chain")
     tbl = sc._table(spec, 1.0, branch="upper", numerator="unit", cfg=cfg)
     with np.errstate(divide="ignore"):  # x int v^(x-1) J(v) dv, J = int_v^1 dw/rho = -logw
-        return int(x) * math.exp(tbl.log_value(int(x) - 1, weight=np.log(-tbl.logw)))
+        return x * math.exp(tbl.log_value(x - 1, weight=np.log(-tbl.logw)))
 
 
 def lt_joint_avalanche(spec: md.ModelSpec, q: float, qbar: float, x: int, a: int,
@@ -120,6 +115,8 @@ def lt_joint_avalanche(spec: md.ModelSpec, q: float, qbar: float, x: int, a: int
     """P_x[e^{-q T_a^- - qbar int_0^{T_a^-} X_s ds}; T_a^- < inf]
     = Phi_{q,qbar}(x)/Phi_{q,qbar}(a)."""
     x, a = _check_levels(x, a)
+    check_rate(q, "q")
+    check_rate(qbar, "qbar")
     if x == a:
         return 1.0
     return math.exp(sc.log_phi_q_qbar_fn(spec, q, qbar, x, cfg)
@@ -150,8 +147,7 @@ class AtMinLaw:
 def atmin_law(spec: md.ModelSpec, q: float, x: int, cfg: QuadConfig = DEFAULT_CFG) -> AtMinLaw:
     """P_x(X_G = k) = Phi_q(x)/Phi_q(k) - Phi_q(x)/Phi_q(k-1) 1{k>=1}; telescopes to 1."""
     x = sc._check_x(x)
-    if q < 0.0:
-        raise DomainError("q must be >= 0")
+    check_rate(q, "q")
     logs = sc.log_phi_fn(spec, q, np.arange(x + 1), cfg)
     ratio = np.exp(logs[x] - logs)
     return AtMinLaw(x=x, q=q, pmf=tuple(np.diff(ratio, prepend=0.0).tolist()))
@@ -160,10 +156,9 @@ def atmin_law(spec: md.ModelSpec, q: float, x: int, cfg: QuadConfig = DEFAULT_CF
 def atmin_lt_G(spec: md.ModelSpec, q: float, alpha: float, x: int, k: int,
                cfg: QuadConfig = DEFAULT_CFG) -> float:
     """Conditional transform P_x[e^{-alpha G} | X_G = k]."""
-    if alpha < 0.0:
-        raise DomainError("alpha must be >= 0")
-    if not (0 <= k <= x):
-        raise DomainError("need 0 <= k <= x")
+    check_rate(q, "q")
+    check_rate(alpha, "alpha")
+    x, k = _check_levels(x, k, "k")
     if alpha == 0.0 or k == x:
         return 1.0
     f, g = (sc.log_phi_fn(spec, r, np.array([x, k]), cfg) for r in (q, q + alpha))
@@ -173,12 +168,9 @@ def atmin_lt_G(spec: md.ModelSpec, q: float, alpha: float, x: int, k: int,
 def atmin_lt_residual(spec: md.ModelSpec, q: float, alpha: float, x: int, k: int,
                       cfg: QuadConfig = DEFAULT_CFG) -> float:
     """Conditional transform P_x[e^{-alpha (e_q - G)} | X_G = k], q > 0."""
-    if q <= 0.0:
-        raise DomainError("q must be > 0")
-    if alpha < 0.0:
-        raise DomainError("alpha must be >= 0")
-    if not (0 <= k <= x):
-        raise DomainError("need 0 <= k <= x")
+    check_rate(q, "q", positive=True)
+    check_rate(alpha, "alpha")
+    x, k = _check_levels(x, k, "k")
     if alpha == 0.0:
         return 1.0
     head = q / (q + alpha)
@@ -211,8 +203,7 @@ _JUMP_TAIL_TOL = 1e-14
 def conditioned_generator(spec: md.ModelSpec, q: float, x_max: int,
                           cfg: QuadConfig = DEFAULT_CFG) -> ConditionedGenerator:
     md.require_valid(spec)
-    if x_max < 1:
-        raise DomainError("x_max must be >= 1")
+    x_max = check_level(x_max, "x_max", low=1)
     varphi = md.root_varphi(spec)
     floor_q = max(spec.mu * (spec.immigration.pgf(varphi) - 1.0), 0.0) \
         if spec.has_immigration else 0.0
@@ -260,8 +251,7 @@ def tilted_model(spec: md.ModelSpec, qbar: float) -> md.ModelSpec:
     below 1e-12 (the geometric factor makes the tail summable).
     """
     md.require_valid(spec)
-    if qbar < 0.0:
-        raise DomainError("qbar must be >= 0")
+    check_rate(qbar, "qbar")
     v = md.root_varphi_qbar(spec, qbar)
     if v >= 1.0:
         raise PreconditionError("tilting requires varphi_qbar < 1 "

@@ -11,13 +11,13 @@ it.  One table per (model, q, qbar, branch) serves all x: the tanh-sinh node
 ladder of I at step 2^-level, the inner integral telescoped from an anchor
 node by one blocked G7/K15 pass over all panels, each side cut once its terms
 fall _LOG_CUT below the running peak, failing panels inside the cut refined
-adaptively; levels refine until probe values settle.  Tables hold logs only,
-and ``ScaleTable.log_value`` is their one evaluator: m + log sum exp(lt - m)
-over the node terms lt, with an optional log kernel added on every node.  It
-takes one level or a 1-D integer array of levels, reduced in blocks (bit for
-bit the scalar logs), and so do ``log_phi_fn`` and ``log_phi_q_qbar_fn``.
-Ratios such as Phi_q(x)/Phi_q(a) are exp of log differences, so they stay
-accurate where Phi itself underflows.
+adaptively; levels refine until probes settle, by level 9 or QuadratureError.
+Tables hold logs only, and ``ScaleTable.log_value`` is their one evaluator:
+m + log sum exp(lt - m) over the node terms lt, with an optional log kernel
+added on every node.  It takes one level or a 1-D integer array of levels,
+reduced in blocks (bit for bit the scalar logs), and so do ``log_phi_fn`` and
+``log_phi_q_qbar_fn``.  Ratios such as Phi_q(x)/Phi_q(a) are exp of log
+differences, so they stay accurate where Phi itself underflows.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import model as md
-from .errors import DomainError, PreconditionError, QuadratureError, UnsupportedRegimeError
+from .errors import (DomainError, PreconditionError, QuadratureError, UnsupportedRegimeError,
+                     check_level, check_rate)
 from .quad import DEFAULT_CFG, QuadConfig, T_MAX, TSMap, gk_adaptive, gk_panels, make_gamma_t
 
 #: |phi_q - varphi| below this selects the power-function branch Phi_q = varphi^x.
@@ -94,12 +95,10 @@ class ScaleTable:
                 err = float(np.max(np.abs(probes - prev) / scale))
                 self.diagnostics.achieved_error = err
                 if err <= self.cfg.rel_tol:
-                    self.diagnostics.converged = True
                     self.diagnostics.level = level
                     return
             prev = probes
-        self.diagnostics.converged = False
-        self.diagnostics.level = level
+        raise QuadratureError(f"table unconverged at level {level}", float(probes[0]), err)
 
     def _build_level(self, level: int) -> None:
         h = 2.0 ** -level
@@ -266,9 +265,7 @@ def _table(spec: md.ModelSpec, q: float, *, qbar: float = 0.0, branch: str = "lo
 def _check_x(x):
     """One nonnegative integer level as an int, or a 1-D array of them as int64."""
     if not isinstance(x, np.ndarray) or x.ndim == 0:
-        if x != int(x) or x < 0:
-            raise DomainError("x must be a nonnegative integer")
-        return int(x)
+        return check_level(x)
     with np.errstate(invalid="ignore"):
         xi = x.astype(np.int64)
     if xi.ndim != 1 or not np.array_equal(xi, x) or np.any(xi < 0):
@@ -298,8 +295,7 @@ class _Resolved(NamedTuple):
 
 def _phi_q(spec: md.ModelSpec, q: float, cfg: QuadConfig) -> _Resolved:
     md.require_valid(spec)
-    if q <= 0.0:
-        raise DomainError("phi_q_fn requires q > 0 (use phi_0_fn for q = 0)")
+    check_rate(q, "q", positive=True)
     varphi = md.root_varphi(spec)
     phi_q = md.root_phi_q(spec, q)
     if phi_q > varphi + BOUNDARY_TIE_TOL:
@@ -317,8 +313,7 @@ def phi_q_fn(spec: md.ModelSpec, q: float, x: int, cfg: QuadConfig = DEFAULT_CFG
 
 def _psi_q(spec: md.ModelSpec, q: float, cfg: QuadConfig) -> _Resolved:
     md.require_valid(spec)
-    if q <= 0.0:
-        raise DomainError("psi_q_fn requires q > 0")
+    check_rate(q, "q", positive=True)
     if not md.is_explosive(spec):
         raise PreconditionError("psi_q_fn requires an explosive chain")
     varphi = md.root_varphi(spec)
@@ -414,8 +409,8 @@ def log_phi_fn(spec: md.ModelSpec, q: float, x, cfg: QuadConfig = DEFAULT_CFG):
 
 def _phi_q_qbar(spec: md.ModelSpec, q: float, qbar: float, cfg: QuadConfig) -> _Resolved:
     md.require_valid(spec)
-    if q < 0.0 or qbar < 0.0:
-        raise DomainError("q and qbar must be >= 0")
+    check_rate(q, "q")
+    check_rate(qbar, "qbar")
     vq = md.root_varphi_qbar(spec, qbar)
     if q == 0.0 and vq >= 1.0:
         raise PreconditionError("need q > 0 or varphi_qbar < 1")
@@ -459,8 +454,7 @@ def harmonic_residual(spec: md.ModelSpec, q: float, qbar: float, f: str, x: int,
     are taken in logs and scaled by the largest, so the residual stays
     meaningful where f itself underflows.
     """
-    if x < 1:
-        raise DomainError("x must be >= 1")
+    x = check_level(x, low=1)
     resolve = {"phi_q": lambda: _phi_q(spec, q, cfg), "psi_q": lambda: _psi_q(spec, q, cfg),
                "phi_q_qbar": lambda: _phi_q_qbar(spec, q, qbar, cfg)}.get(f)
     if resolve is None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import model as md
-from .errors import AdmissibilityError, DomainError, PreconditionError
+from .errors import AdmissibilityError, DomainError, PreconditionError, check_level, check_rate
 
 __all__ = [
     "SimConfig", "PathOutcome", "Estimate",
@@ -32,10 +32,9 @@ __all__ = [
     "atmin_clock_sample", "simulate_controlled",
 ]
 
-HIT, THRESHOLD, CENSORED_JUMPS, CENSORED_TIME, CLOCK_RING = 1, 2, 3, 4, 5
+HIT, THRESHOLD, CENSORED, CLOCK_RING = 1, 2, 3, 4  # CENSORED: jump limit or horizon
 
-_KIND = {HIT: "hit_level", THRESHOLD: "exceeded_threshold",
-         CENSORED_JUMPS: "censored", CENSORED_TIME: "censored",
+_KIND = {HIT: "hit_level", THRESHOLD: "exceeded_threshold", CENSORED: "censored",
          CLOCK_RING: "clock_ring"}
 
 
@@ -48,10 +47,10 @@ class SimConfig:
     horizon: float = math.inf
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise DomainError("n_paths must be >= 1")
-        if self.explosion_threshold < 2:
-            raise DomainError("explosion_threshold must be >= 2")
+        check_level(self.n_paths, "n_paths", low=1)
+        check_level(self.explosion_threshold, "explosion_threshold", low=2)
+        if not self.horizon > 0.0:  # inf allowed, NaN refused
+            raise DomainError(f"horizon must be > 0, got {self.horizon!r}")
 
 
 @dataclass(frozen=True)
@@ -220,8 +219,8 @@ def _run_batch(spec: md.ModelSpec, x0: int, a: int, cfg: SimConfig,
     problems = [p for p in md.validate(spec) if "nonincreasing" not in p]
     if problems:
         raise md.ModelError("invalid model: " + "; ".join(problems))
-    if not (x0 >= a >= 0):
-        raise DomainError("need x0 >= a >= 0")
+    a = check_level(a, "a")
+    x0 = check_level(x0, "x0", low=a)
     n = cfg.n_paths
     lam, has_imm = spec.lam, spec.has_immigration
     mu_eff = spec.mu if has_imm else 0.0
@@ -239,8 +238,7 @@ def _run_batch(spec: md.ModelSpec, x0: int, a: int, cfg: SimConfig,
     )
     pid = np.arange(n, dtype=np.int64)  # live path indices; rebound, never written
     if qclock is not None:
-        if qclock <= 0.0:
-            raise DomainError("qclock must be > 0")
+        check_rate(qclock, "qclock", positive=True)
         res.clock = -np.log(_u01(cfg.seed, pid, np.zeros(n, dtype=np.int64), 3)) / qclock
 
     if x0 == a:
@@ -276,7 +274,7 @@ def _run_batch(spec: md.ModelSpec, x0: int, a: int, cfg: SimConfig,
         stop = ringing | (t_next >= cfg.horizon)
         if np.any(stop):
             t_stop = np.where(ringing, clock, cfg.horizon)
-            finalize(stop, np.where(ringing, CLOCK_RING, CENSORED_TIME), t_stop,
+            finalize(stop, np.where(ringing, CLOCK_RING, CENSORED), t_stop,
                      area + pop * (t_stop - t))
             live = ~stop
             pid, pop, t, area, minlev, tmin, steps, clock, t_next, rate = (
@@ -304,7 +302,7 @@ def _run_batch(spec: md.ModelSpec, x0: int, a: int, cfg: SimConfig,
         hit, exceeded = pop <= a, pop >= cfg.explosion_threshold
         stop = hit | exceeded | (steps >= cfg.max_jumps)
         if np.any(stop):
-            finalize(stop, np.where(hit, HIT, np.where(exceeded, THRESHOLD, CENSORED_JUMPS)),
+            finalize(stop, np.where(hit, HIT, np.where(exceeded, THRESHOLD, CENSORED)),
                      t, area)
             live = ~stop
             pid, pop, t, area, minlev, tmin, steps, clock = (
@@ -342,10 +340,11 @@ def estimate_lt_passage(spec: md.ModelSpec, q: float, x: int, a: int,
     """MC estimate of P_x[e^{-q T_a^-}; T_a^- < inf]; censored and
     threshold-stopped paths contribute 0, with the omitted mass bounded by
     e^{-q t_stop} per path (reported, not subtracted)."""
+    check_rate(q, "q")
     res = _run_batch(spec, x, a, cfg)
     hit = res.status == HIT
     w = np.where(hit, np.exp(-q * res.time), 0.0)
-    censored = (res.status == CENSORED_JUMPS) | (res.status == CENSORED_TIME)
+    censored = res.status == CENSORED
     stopped = censored | (res.status == THRESHOLD)
     bias = float(np.sum(np.exp(-q * res.time[stopped]))) / len(w) if q > 0.0 \
         else float(np.sum(stopped)) / len(w)
@@ -354,15 +353,17 @@ def estimate_lt_passage(spec: md.ModelSpec, q: float, x: int, a: int,
 
 def estimate_joint_avalanche(spec: md.ModelSpec, q: float, qbar: float, x: int, a: int,
                              cfg: SimConfig) -> Estimate:
+    check_rate(q, "q")
+    check_rate(qbar, "qbar")
     res = _run_batch(spec, x, a, cfg)
     hit = res.status == HIT
     w = np.where(hit, np.exp(-q * res.time - qbar * res.area), 0.0)
-    censored = (res.status == CENSORED_JUMPS) | (res.status == CENSORED_TIME)
+    censored = res.status == CENSORED
     return _estimate_from_weights(w, censored)
 
 
 def estimate_mean_passage(spec: md.ModelSpec, x: int, a: int, cfg: SimConfig) -> Estimate:
-    if x == a:
+    if check_level(x) == check_level(a, "a"):
         return Estimate(mean=0.0, se=0.0, n_effective=cfg.n_paths, censored_fraction=0.0)
     res = _run_batch(spec, x, a, cfg)
     hit = res.status == HIT
@@ -370,7 +371,7 @@ def estimate_mean_passage(spec: md.ModelSpec, x: int, a: int, cfg: SimConfig) ->
     n_eff = int(np.sum(hit))
     mean = float(np.mean(times)) if n_eff else math.nan
     se = float(np.std(times, ddof=1)) / math.sqrt(n_eff) if n_eff > 1 else math.inf
-    censored = (res.status == CENSORED_JUMPS) | (res.status == CENSORED_TIME)
+    censored = res.status == CENSORED
     return Estimate(mean=mean, se=se, n_effective=n_eff,
                     censored_fraction=float(np.sum(censored)) / cfg.n_paths)
 
@@ -379,7 +380,7 @@ def _explosion_weights(spec, q, x, a, cfg) -> tuple[np.ndarray, np.ndarray]:
     res = _run_batch(spec, x, a, cfg)
     crossed = res.status == THRESHOLD
     w = np.where(crossed, np.exp(-q * res.time) if q > 0.0 else 1.0, 0.0)
-    censored = (res.status == CENSORED_JUMPS) | (res.status == CENSORED_TIME)
+    censored = res.status == CENSORED
     return w, censored
 
 
@@ -390,6 +391,7 @@ def estimate_explosion(spec: md.ModelSpec, q: float, x: int, a: int,
     reported as the proxy-bias diagnostic."""
     if not md.is_explosive(spec):
         raise PreconditionError("estimate_explosion requires an explosive chain")
+    check_rate(q, "q")
     w, censored = _explosion_weights(spec, q, x, a, cfg)
     cfg10 = replace(cfg, explosion_threshold=max(2, cfg.explosion_threshold // 10))
     w10, _ = _explosion_weights(spec, q, x, a, cfg10)
@@ -403,15 +405,13 @@ def estimate_explosion_time(spec: md.ModelSpec, x: int, cfg: SimConfig) -> Estim
     res = _run_batch(spec, x, 0, cfg)
     crossed = res.status == THRESHOLD
     w = np.where(crossed, res.time, 0.0)
-    censored = (res.status == CENSORED_JUMPS) | (res.status == CENSORED_TIME)
+    censored = res.status == CENSORED
     return _estimate_from_weights(w, censored)
 
 
 def atmin_clock_sample(spec: md.ModelSpec, q: float, x: int, cfg: SimConfig) -> _BatchResult:
     """Paths run against an explicit Exp(q) clock; the running minimum at the
     ring (or at absorption, whichever comes first) realizes X_{G_{e_q}}."""
-    if q <= 0.0:
-        raise DomainError("q must be > 0")
     return _run_batch(spec, x, 0, cfg, qclock=q)
 
 
@@ -434,8 +434,7 @@ def simulate_controlled(problem, policy, x0: int, cfg: SimConfig) -> Estimate:
 
     if callable(policy):
         def immigrants(levels):
-            out = np.asarray(policy(levels), dtype=np.int64)
-            return out
+            return np.asarray(policy(levels), dtype=np.int64)
         label = "custom"
     else:
         kind, par = policy
@@ -452,6 +451,7 @@ def simulate_controlled(problem, policy, x0: int, cfg: SimConfig) -> Estimate:
         else:
             raise DomainError(f"unknown policy {kind!r}")
 
+    x0 = check_level(x0, "x0")
     n = cfg.n_paths
     horizon = cfg.horizon
     if q > 0.0:
@@ -481,8 +481,6 @@ def simulate_controlled(problem, policy, x0: int, cfg: SimConfig) -> Estimate:
             keep = ~over
             pid, pop, t, cost, steps, t_next = (
                 arr[keep] for arr in (pid, pop, t, cost, steps, t_next))
-            if pid.size == 0:
-                break
         t = t_next
         u2 = _u01(cfg.seed, pid, steps, 2)
         steps = steps + 1

@@ -103,6 +103,13 @@ class TestPassageCommands:
         assert r.exit_code == 2
         assert r.stdout == ""
 
+    @pytest.mark.parametrize("model", ["m1", "m3"])
+    def test_lt_refuses_unconverged_table(self, runner, model_dir, model):
+        r = _invoke(runner, ["passage", "lt", "--model", str(model_dir / f"{model}.json"),
+                             "--q", "0.01", "--x", "1", "--a", "0"])
+        assert (r.exit_code, r.stdout) == (2, "")
+        assert json.loads(r.stderr)["refused"] == "quadrature non-convergence"
+
     def test_usage_exit64(self, runner, model_dir):
         r = _invoke(runner, ["passage", "lt", "--model", str(model_dir / "m2.json"),
                              "--q", "1"])

@@ -8,7 +8,8 @@ from bgwscale import model as md
 from bgwscale import passage as ps
 from bgwscale import quad
 from bgwscale import scale as sc
-from bgwscale.errors import DomainError, PreconditionError, UnsupportedRegimeError
+from bgwscale.errors import (DomainError, PreconditionError, QuadratureError,
+                             UnsupportedRegimeError)
 
 LOG15 = math.log(1.5)
 
@@ -430,3 +431,16 @@ class TestLevelArrays:
                    lambda x: sc.log_phi_q_qbar_fn(m1, 0.5, 0.5, x)):
             with pytest.raises(DomainError):
                 fn(xs)
+
+
+class TestUnconvergedTable:
+    """A table whose probes have not settled by level 9 refuses instead of
+    being served: at q = 0.01, m1 and m3 sit in the near-tie band, and the
+    served values were 5.0e-8 and 2.2e-5 off the birth-death oracle."""
+
+    @pytest.mark.parametrize("name", ["m1", "m3"])
+    def test_refuses_with_achieved_error(self, request, name, time_limit):
+        spec = request.getfixturevalue(name)
+        with time_limit(5), pytest.raises(QuadratureError) as exc_info:
+            ps.lt_first_passage(spec, 0.01, 1, 0)
+        assert exc_info.value.achieved_error > sc.DEFAULT_CFG.rel_tol

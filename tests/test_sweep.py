@@ -23,9 +23,6 @@ Y_MAX = max(x for x, _ in LEVELS)
 FAMILIES = [(p2, lam, step, mu) for p2 in (0.25, 0.5, 0.75) for lam in (1.0, 2.0)
             for step, mu in ((0, 0.0), (1, 0.7), (1, 1.5), (-1, 0.49), (-1, 1.5))]
 QS = (0.0, 0.3, 1.0, 3.0)
-#: Endpoint exponent s = 0.020 at the root: the tanh-sinh chart drops about
-#: e^(-634 s) of the mass, and the table is served unconverged.
-NEAR_TIE = (0.75, 2.0, -1, 0.49, 1.0)
 
 
 def _rates(p2, lam, step, mu):
@@ -71,11 +68,8 @@ def _log_steps(p2, lam, step, mu, q):
 def _cases():
     for fam in FAMILIES:
         for q in QS:
-            marks = ([pytest.mark.xfail(strict=True, reason="near-tie endpoint exponent")]
-                     if fam + (q,) == NEAR_TIE else [])
             p2, lam, step, mu = fam
-            yield pytest.param(*fam, q, marks=marks,
-                               id=f"p2={p2}-lam={lam}-step={step:+d}-mu={mu}-q={q}")
+            yield pytest.param(*fam, q, id=f"p2={p2}-lam={lam}-step={step:+d}-mu={mu}-q={q}")
 
 
 @pytest.mark.parametrize("p2, lam, step, mu, q", list(_cases()))
