@@ -145,12 +145,15 @@ class AtMinLaw:
 
 
 def atmin_law(spec: md.ModelSpec, q: float, x: int, cfg: QuadConfig = DEFAULT_CFG) -> AtMinLaw:
-    """P_x(X_G = k) = Phi_q(x)/Phi_q(k) - Phi_q(x)/Phi_q(k-1) 1{k>=1}; telescopes to 1."""
+    """P_x(X_G = k) = Phi_q(x)/Phi_q(k) - Phi_q(x)/Phi_q(k-1) 1{k>=1}; telescopes to 1.
+
+    Taken as Phi_q(x)/Phi_q(k) * (1 - Phi_q(k)/Phi_q(k-1)), the second factor
+    -expm1 of a log difference, so nothing cancels where Phi_q(k)/Phi_q(k-1) -> 1."""
     x = sc._check_x(x)
     check_rate(q, "q")
     logs = sc.log_phi_fn(spec, q, np.arange(x + 1), cfg)
-    ratio = np.exp(logs[x] - logs)
-    return AtMinLaw(x=x, q=q, pmf=tuple(np.diff(ratio, prepend=0.0).tolist()))
+    pmf = np.exp(logs[x] - logs) * -np.expm1(np.diff(logs, prepend=math.inf))
+    return AtMinLaw(x=x, q=q, pmf=tuple(pmf.tolist()))
 
 
 def atmin_lt_G(spec: md.ModelSpec, q: float, alpha: float, x: int, k: int,

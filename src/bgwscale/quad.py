@@ -1,4 +1,4 @@
-"""Singularity-aware quadrature primitives.
+"""Singularity-aware quadrature primitives of the scale tables.
 
 The scale-function integrands live on (0, varphi), (varphi, 1) or (0, varphi_qbar)
 and behave like integrable powers (or faster decay) at the endpoints, with the
@@ -13,6 +13,11 @@ terms, and the pole of gamma_q becomes mild exponential growth that adaptive
 Gauss-Kronrod panels resolve.  Endpoint distances are carried exactly through
 every evaluation; recomputing 1-v or varphi-v from the double v would lose all
 relative accuracy exactly where the integrand mass concentrates.
+
+This module holds the chart (``TSMap``), the blocked and adaptive G7/K15 rules
+(``gk_panels``, ``gk_adaptive``) and the t-space gamma integrand
+(``make_gamma_t``).  ``scale.ScaleTable`` assembles them: it stores
+log omega = -int gamma on every node as ``ScaleTable.logw``.
 """
 
 from __future__ import annotations
@@ -24,12 +29,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import model as md
-from .errors import DomainError, PreconditionError, QuadratureError, check_rate
+from .errors import DomainError, QuadratureError, check_rate
 
-__all__ = [
-    "QuadConfig", "WeightEval", "IntegralResult", "integrate",
-    "rho", "gamma_q", "log_omega_lower", "log_omega_upper", "weight_eval",
-]
+__all__ = ["MAX_PANELS", "QuadConfig", "TSMap", "gk_adaptive", "gk_panels", "make_gamma_t"]
 
 
 @dataclass(frozen=True)
@@ -41,11 +43,6 @@ class QuadConfig:
 
 
 DEFAULT_CFG = QuadConfig()
-
-
-class IntegralResult(NamedTuple):
-    value: float
-    error: float
 
 
 # ---------------------------------------------------------------------------
@@ -212,91 +209,8 @@ class TSMap:
 
 
 # ---------------------------------------------------------------------------
-# Generic endpoint-singularity-tolerant integration (public operation)
+# gamma integrand on a chart
 # ---------------------------------------------------------------------------
-
-_ABS_TOL = 1e-13  # absolute error at which ``integrate`` accepts a refinement
-
-
-def integrate(f: Callable, a: float, b: float, cfg: QuadConfig = DEFAULT_CFG,
-              max_level: int = 10) -> IntegralResult:
-    """Integrate ``f`` over (a, b), tolerating integrable power/log endpoint
-    singularities.  ``f`` must be vectorized over numpy arrays (scalars work
-    via numpy broadcasting).
-
-    Raises QuadratureError (carrying the last estimate and achieved error)
-    when successive tanh-sinh refinements fail to certify the tolerance.
-    """
-    chart = TSMap(a, b)  # refuses b <= a
-
-    def gsum(h: float, only_odd: bool) -> float:
-        n = int(T_MAX / h)
-        j = np.arange(-n, n + 1)
-        if only_odd:
-            j = j[j % 2 != 0]
-        pts = chart.points(j * h)
-        with np.errstate(all="ignore"):
-            fv = np.asarray(f(pts.v), dtype=float)
-            terms = fv * pts.dvdt
-        terms = np.where(np.isfinite(terms), terms, 0.0)
-        return h * float(np.sum(terms))
-
-    est = gsum(2.0 ** -3, only_odd=False)
-    err = math.inf
-    for level in range(4, max_level + 1):
-        h = 2.0 ** -level
-        new = 0.5 * est + gsum(h, only_odd=True)
-        err = abs(new - est)
-        est = new
-        if level >= 5 and err <= max(_ABS_TOL, cfg.rel_tol * abs(new)):
-            return IntegralResult(est, err)
-    raise QuadratureError("tanh-sinh refinement did not converge", est, err)
-
-
-# ---------------------------------------------------------------------------
-# Weight functions
-# ---------------------------------------------------------------------------
-
-_SINGULARITY_TOL = 1e-14
-
-
-def rho(spec: md.ModelSpec, v: float) -> float:
-    """lam * |p~(v) - v| for v in (0,1) away from varphi."""
-    md.require_valid(spec)
-    if not (0.0 < v < 1.0):
-        raise DomainError("v must lie in (0,1)")
-    varphi = md.root_varphi(spec)
-    if abs(v - varphi) <= _SINGULARITY_TOL:
-        raise DomainError(f"rho is singular at varphi = {varphi!r}")
-    return spec.lam * abs(spec.offspring.pgf(v) - v)
-
-
-def gamma_q(spec: md.ModelSpec, q: float, v: float) -> float:
-    """(q + mu*(1 - r~(v))) / rho(v); negative on (0, phi_q), positive beyond."""
-    check_rate(q, "q")
-    r = rho(spec, v)
-    num = q
-    if spec.has_immigration:
-        num += spec.mu * spec.immigration.one_minus_pgf(v)
-    return num / r
-
-
-@dataclass(frozen=True)
-class WeightEval:
-    v: float
-    rho: float
-    gamma_q: float
-    log_omega: float
-
-
-def weight_eval(spec: md.ModelSpec, q: float, v: float,
-                cfg: QuadConfig = DEFAULT_CFG) -> WeightEval:
-    varphi = md.root_varphi(spec)
-    lo = log_omega_lower(spec, q, v, cfg) if v < varphi else log_omega_upper(spec, q, v, cfg)
-    return WeightEval(v=v, rho=rho(spec, v), gamma_q=gamma_q(spec, q, v), log_omega=lo)
-
-
-# -- gamma integrand on a chart ---------------------------------------------
 
 def make_gamma_t(spec: md.ModelSpec, q: float, chart: TSMap, *,
                  qbar: float = 0.0, numerator: str = "full",
@@ -330,59 +244,3 @@ def make_gamma_t(spec: md.ModelSpec, q: float, chart: TSMap, *,
         return (-gamma if upper else gamma) * p.dvdt
 
     return g
-
-
-def _gamma_integral(spec: md.ModelSpec, q: float, w_from: float, w_to: float,
-                    cfg: QuadConfig, *, upper: bool, qbar: float = 0.0,
-                    numerator: str = "full") -> float:
-    """Oriented integral of gamma_q from w_from to w_to inside one branch interval."""
-    varphi = md.root_varphi(spec)
-    if upper:
-        chart = TSMap(varphi, 1.0)
-    else:
-        chart = TSMap(0.0, md.root_varphi_qbar(spec, qbar))
-    g = make_gamma_t(spec, q, chart, qbar=qbar, numerator=numerator, upper=upper)
-    val, _ = gk_adaptive(g, chart.t_of(w_from), chart.t_of(w_to), 1e-15, 0.1 * cfg.rel_tol)
-    return val
-
-
-def log_omega_lower(spec: md.ModelSpec, q: float, v: float,
-                    cfg: QuadConfig = DEFAULT_CFG, theta: float | None = None) -> float:
-    """log of the Phi_q integrating factor: -int_{phi_q}^{v} gamma_q(w) dw.
-
-    Requires phi_q < varphi and v in (0, varphi); diverges to -inf as v -> varphi.
-    ``theta`` replaces the lower delimiter phi_q (changing the value by an
-    additive, v-independent constant).
-    """
-    md.require_valid(spec)
-    varphi = md.root_varphi(spec)
-    phi_q = md.root_phi_q(spec, q)
-    if phi_q >= varphi:
-        raise PreconditionError(f"need phi_q < varphi, got phi_q={phi_q!r}, varphi={varphi!r}")
-    if not (0.0 < v < varphi):
-        raise DomainError("v must lie in (0, varphi)")
-    lower = phi_q if theta is None else theta
-    if not (0.0 <= lower < varphi):
-        raise DomainError("theta must lie in [0, varphi)")
-    if v == lower:
-        return 0.0
-    return -_gamma_integral(spec, q, lower, v, cfg, upper=False)
-
-
-def log_omega_upper(spec: md.ModelSpec, q: float, v: float,
-                    cfg: QuadConfig = DEFAULT_CFG) -> float:
-    """log of the Psi_q integrating factor: -int_v^1 gamma_q(w) dw (explosive chains).
-
-    Finite for v in (varphi, 1), tending to -inf as v -> varphi+ and 0 at 1-.
-    """
-    md.require_valid(spec)
-    if not md.is_explosive(spec):
-        raise PreconditionError("log_omega_upper requires an explosive chain")
-    check_rate(q, "q", positive=True)
-    varphi = md.root_varphi(spec)
-    phi_q = md.root_phi_q(spec, q)
-    if phi_q >= varphi:
-        raise PreconditionError(f"need phi_q < varphi, got phi_q={phi_q!r}, varphi={varphi!r}")
-    if not (varphi < v < 1.0):
-        raise DomainError("v must lie in (varphi, 1)")
-    return -_gamma_integral(spec, q, v, 1.0, cfg, upper=True)

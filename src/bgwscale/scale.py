@@ -54,7 +54,6 @@ _BLOCK = 1 << 13
 @dataclass
 class KernelDiagnostics:
     level: int = 0
-    converged: bool = True
     achieved_error: float = 0.0
     n_nodes: int = 0
 
@@ -98,7 +97,7 @@ class ScaleTable:
                     self.diagnostics.level = level
                     return
             prev = probes
-        raise QuadratureError(f"table unconverged at level {level}", float(probes[0]), err)
+        raise QuadratureError(f"table did not converge by level {level}", float(probes[0]), err)
 
     def _build_level(self, level: int) -> None:
         h = 2.0 ** -level
@@ -293,7 +292,9 @@ class _Resolved(NamedTuple):
         return self.base ** _check_x(x) if self.tbl is None else math.exp(self.log(x))
 
 
-def _phi_q(spec: md.ModelSpec, q: float, cfg: QuadConfig) -> _Resolved:
+def _phi_q_tie(spec: md.ModelSpec, q: float) -> float | None:
+    """The rate and regime checks of Phi_q, before any table is built:
+    varphi when Phi_q is the power function varphi^x, else None."""
     md.require_valid(spec)
     check_rate(q, "q", positive=True)
     varphi = md.root_varphi(spec)
@@ -301,7 +302,12 @@ def _phi_q(spec: md.ModelSpec, q: float, cfg: QuadConfig) -> _Resolved:
     if phi_q > varphi + BOUNDARY_TIE_TOL:
         raise UnsupportedRegimeError("phi_q <= varphi",
                                      f"phi_q={phi_q!r} > varphi={varphi!r}; need q >= mu*(r~(varphi)-1)")
-    if abs(phi_q - varphi) < BOUNDARY_TIE_TOL:
+    return varphi if abs(phi_q - varphi) < BOUNDARY_TIE_TOL else None
+
+
+def _phi_q(spec: md.ModelSpec, q: float, cfg: QuadConfig) -> _Resolved:
+    varphi = _phi_q_tie(spec, q)
+    if varphi is not None:
         return _Resolved(varphi)
     return _Resolved(log_pref=math.log(q), tbl=_table(spec, q, cfg=cfg))
 
@@ -490,16 +496,16 @@ def phi_q_mu0_simplified(spec: md.ModelSpec, q: float, x: int,
     if spec.mu != 0.0:
         raise PreconditionError("simplified form needs mu = 0")
     x = _check_x(x)
-    if x == 0:
-        return 1.0
-    tbl = _table(spec, q, cfg=cfg)
-    return x * math.exp(tbl.log_value(x - 1, weight=tbl.logw))
+    tbl = _phi_q(spec, q, cfg).tbl  # at mu = 0, phi_q = 0 < varphi: never the power branch
+    return 1.0 if x == 0 else x * math.exp(tbl.log_value(x - 1, weight=tbl.logw))
 
 
 def phi_q_with_delimiter(spec: md.ModelSpec, q: float, x: int, theta: float,
                          cfg: QuadConfig = DEFAULT_CFG) -> float:
     """Phi_q with the lower delimiter replaced by theta in (0, varphi); differs
     from phi_q_fn by an x-independent factor only."""
+    _phi_q_tie(spec, q)  # refuses q and regimes that phi_q_fn refuses
+    x = _check_x(x)
     if not (0.0 < theta < md.root_varphi(spec)):
         raise DomainError("theta must lie in (0, varphi)")
-    return q * math.exp(_table(spec, q, theta=theta, cfg=cfg).log_value(_check_x(x)))
+    return q * math.exp(_table(spec, q, theta=theta, cfg=cfg).log_value(x))

@@ -15,11 +15,14 @@ from bgwscale import passage as ps
 from bgwscale import scale as sc
 from bgwscale import sim
 from bgwscale.cli import main
-from bgwscale.errors import DomainError, ModelError, check_level, check_rate
+from bgwscale.errors import DomainError, ModelError, UnsupportedRegimeError, check_level, check_rate
 from bgwscale.quad import QuadConfig
 
 NAN, INF = math.nan, math.inf
 BINARY = md.OffspringLaw.tabular({0: 0.75, 2: 0.25})
+#: binary p0 = 1/4 at lam = 2 with culling at mu = 1.5: varphi = 1/3 < phi_1 = 0.6
+CULLED = md.make_spec(md.OffspringLaw.tabular({0: 0.25, 2: 0.75}), 2.0,
+                      md.ImmigrationLaw.tabular({-1: 1.0}), 1.5)
 SIM = sim.SimConfig(seed=1, n_paths=50)
 
 #: (id, call(m1, m4), error); m1 is subcritical binary, m4 explosive Sibuya.
@@ -30,6 +33,15 @@ REFUSED = [
     ("psi_q_fn q=inf", lambda m1, m4: sc.psi_q_fn(m4, INF, 1), DomainError),
     ("phi_fn q=nan", lambda m1, m4: sc.phi_fn(m1, NAN, 1), DomainError),
     ("phi_fn q=inf", lambda m1, m4: sc.phi_fn(m1, INF, 1), DomainError),
+    # the alternate Phi_q forms check q and the regime before building a table
+    ("phi_q_with_delimiter phi_q>varphi",
+     lambda m1, m4: sc.phi_q_with_delimiter(CULLED, 1.0, 1, 1 / 6), UnsupportedRegimeError),
+    ("phi_q_with_delimiter q=nan",
+     lambda m1, m4: sc.phi_q_with_delimiter(CULLED, NAN, 1, 1 / 6), DomainError),
+    ("phi_q_with_delimiter q=-1",
+     lambda m1, m4: sc.phi_q_with_delimiter(CULLED, -1.0, 1, 1 / 6), DomainError),
+    ("phi_q_mu0_simplified q=nan", lambda m1, m4: sc.phi_q_mu0_simplified(m1, NAN, 1), DomainError),
+    ("phi_q_mu0_simplified q=-1", lambda m1, m4: sc.phi_q_mu0_simplified(m1, -1.0, 1), DomainError),
     ("lt_first_passage q=nan", lambda m1, m4: ps.lt_first_passage(m1, NAN, 2, 0), DomainError),
     ("lt_first_passage q=inf", lambda m1, m4: ps.lt_first_passage(m1, INF, 2, 0), DomainError),
     ("ControlProblem q=nan", lambda m1, m4: ctl.ControlProblem(m1, 0, NAN), DomainError),

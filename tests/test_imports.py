@@ -1,4 +1,5 @@
-"""Import cost and the Sibuya tail sampler that defers scipy.
+"""Import cost and the Sibuya tail sampler that defers scipy, and the
+modules' public names.
 
 scipy is only needed to invert Sibuya jump sizes beyond K = 64, so neither
 ``import bgwscale`` nor ``import bgwscale.cli`` may load it.  The check runs
@@ -6,7 +7,9 @@ in a fresh interpreter: other test modules import scipy themselves.
 """
 
 import hashlib
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +21,14 @@ import bgwscale
 from bgwscale import sim
 
 _SRC = str(Path(bgwscale.__file__).resolve().parent.parent)
+_MODULES = ["bgwscale"] + [f"bgwscale.{m.name}" for m in pkgutil.iter_modules(bgwscale.__path__)]
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_all_names_resolve(module):
+    """Every name a module lists in ``__all__`` exists, so ``import *`` works."""
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
 @pytest.mark.parametrize("module", ["bgwscale", "bgwscale.cli"])

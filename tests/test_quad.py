@@ -7,45 +7,54 @@ from hypothesis import strategies as st
 
 from bgwscale import model as md
 from bgwscale import quad
-from bgwscale.errors import DomainError, PreconditionError, QuadratureError
+from bgwscale import scale as sc
+from bgwscale.errors import DomainError, QuadratureError, UnsupportedRegimeError
+
+
+def _chart_integral(f, a, b):
+    """int_a^b f(v) dv as the t-integral of f(v(t)) v'(t) over the tanh-sinh
+    chart of (a, b), by gk_adaptive; ``f`` gets the chart points, so it can use
+    the exact endpoint distances ``da`` and ``db``."""
+    chart = quad.TSMap(a, b)
+
+    def g(t):
+        p = chart.points(t)
+        return f(p) * p.dvdt
+
+    return quad.gk_adaptive(g, -quad.T_MAX, quad.T_MAX, 1e-15, 1e-13)[0]
 
 
 class TestIntegrate:
+    """Endpoint-singular integrals in the chart the scale tables are built on."""
+
     def test_constant(self):
-        val, err = quad.integrate(lambda v: np.ones_like(v), 0.0, 1.0)
-        assert val == pytest.approx(1.0, abs=1e-12)
+        val = _chart_integral(lambda p: np.ones_like(p.v), 0.0, 1.0)
+        assert val == pytest.approx(1.0, rel=1e-13)
 
     def test_inverse_sqrt_singularity(self):
-        val, _ = quad.integrate(lambda v: v ** -0.5, 0.0, 1.0)
-        assert val == pytest.approx(2.0, abs=1e-10)
+        val = _chart_integral(lambda p: p.da ** -0.5, 0.0, 1.0)
+        assert val == pytest.approx(2.0, rel=1e-13)
 
     def test_log_singularity(self):
-        val, _ = quad.integrate(lambda v: np.log(1.0 / v), 0.0, 1.0)
-        assert val == pytest.approx(1.0, abs=1e-10)
+        val = _chart_integral(lambda p: -p.log_da, 0.0, 1.0)
+        assert val == pytest.approx(1.0, rel=1e-13)
 
     def test_both_endpoints(self):
-        # Beta(1/2,1/2): int v^-.5 (1-v)^-.5 = pi.  A black-box f(v) cannot see
-        # the exact right-endpoint distance once 1-v saturates, capping the
-        # attainable accuracy near sqrt(eps) for a -1/2 power there.
-        val, _ = quad.integrate(lambda v: v ** -0.5 * (1 - v) ** -0.5, 0.0, 1.0)
-        assert val == pytest.approx(math.pi, rel=1e-7)
-
-    def test_nonconvergence_reports_estimate(self):
-        with pytest.raises(QuadratureError) as exc_info:
-            quad.integrate(lambda v: np.cos(200.0 / (v + 1e-3)), 0.0, 1.0, max_level=5)
-        assert math.isfinite(exc_info.value.estimate)
-        assert exc_info.value.achieved_error >= 0.0
+        # Beta(1/2,1/2): int v^-.5 (1-v)^-.5 = pi.  The exact distance to the
+        # right endpoint keeps the -1/2 power there fully accurate.
+        val = _chart_integral(lambda p: (p.da * p.db) ** -0.5, 0.0, 1.0)
+        assert val == pytest.approx(math.pi, rel=1e-13)
 
     def test_bad_interval(self):
         with pytest.raises(DomainError):
-            quad.integrate(lambda v: v, 1.0, 0.0)
+            quad.TSMap(1.0, 0.0)
 
 
 @given(st.floats(min_value=-0.85, max_value=2.0))
 @settings(max_examples=40, deadline=None)
 def test_integrate_power_random(s):
-    val, _ = quad.integrate(lambda v: v ** s, 0.0, 1.0)
-    assert val == pytest.approx(1.0 / (1.0 + s), rel=1e-9)
+    val = _chart_integral(lambda p: np.exp(s * p.log_da), 0.0, 1.0)
+    assert val == pytest.approx(1.0 / (1.0 + s), rel=1e-13)
 
 
 class TestGaussKronrod:
@@ -93,99 +102,145 @@ class TestGaussKronrod:
         assert float(np.sum(vals)) == pytest.approx(math.cos(-3.0) - math.cos(2.0), rel=1e-13)
 
 
+def _gamma(spec, q, v, upper=False):
+    """gamma_q(v) = (q + mu(1 - r~(v))) / |D(v)| from the t-space integrand of
+    the table on v's side of varphi."""
+    varphi = md.root_varphi(spec)
+    chart = quad.TSMap(varphi, 1.0) if upper else quad.TSMap(0.0, varphi)
+    t = np.array([chart.t_of(v)])
+    return float(quad.make_gamma_t(spec, q, chart, upper=upper)(t)[0] / chart.points(t).dvdt[0])
+
+
 class TestWeights:
     def test_rho_values(self, m1, m2, m4):
-        assert quad.rho(m1, 0.5) == pytest.approx(0.3125, abs=1e-15)
-        assert quad.rho(m2, 0.25) == pytest.approx(0.375, abs=1e-14)
-        assert quad.rho(m4, 0.75) == pytest.approx(0.15, abs=1e-15)
-
-    def test_rho_singularity(self, m2):
-        with pytest.raises(DomainError):
-            quad.rho(m2, md.root_varphi(m2))
+        # rho = |D(v)| = lam |p~(v) - v|
+        for spec, v, want in ((m1, 0.5, 0.3125), (m2, 0.25, 0.375), (m4, 0.75, 0.15)):
+            d_root = md.root_varphi(spec) - v
+            den = md.GapEvaluator(spec).den(np.array([v]), np.array([d_root]), np.array([1.0 - v]))
+            assert abs(float(den[0])) == pytest.approx(want, abs=1e-14)
 
     def test_gamma_values(self, m1, m3):
-        assert quad.gamma_q(m1, 0.5, 0.5) == pytest.approx(1.6, abs=1e-14)
+        assert _gamma(m1, 0.5, 0.5) == pytest.approx(1.6, abs=1e-14)
         # (1 + 1*(1-0.5)) / (2*(0.8125-0.5)) = 1.5/0.625
-        assert quad.gamma_q(m3, 1.0, 0.5) == pytest.approx(2.4, abs=1e-13)
+        assert _gamma(m3, 1.0, 0.5) == pytest.approx(2.4, abs=1e-13)
 
     def test_gamma_sign_change_at_phi_q(self, m2):
         # q = 2: phi_2 = 1/3 sits strictly below varphi = 1/2
         phi2 = md.root_phi_q(m2, 2.0)
         for v in (0.05, 0.2, phi2 - 1e-3):
-            assert quad.gamma_q(m2, 2.0, v) < 0.0
-        for v in (phi2 + 1e-3, 0.45, 0.55, 0.9):
-            assert quad.gamma_q(m2, 2.0, v) > 0.0
-        assert abs(quad.gamma_q(m2, 2.0, phi2)) < 1e-10
+            assert _gamma(m2, 2.0, v) < 0.0
+        for v in (phi2 + 1e-3, 0.45):
+            assert _gamma(m2, 2.0, v) > 0.0
+        for v in (0.55, 0.9):
+            assert _gamma(m2, 2.0, v, upper=True) > 0.0
+        assert abs(_gamma(m2, 2.0, phi2)) < 1e-10
+
+
+# log omega = -int gamma is ScaleTable.logw on the table's own nodes.  The
+# closed forms below hold on every node the ladder kept, to 1e-14 relative.
+
+def _assert_logw(tbl, want, floor=1e-30):
+    """|logw - want| <= 1e-14 |want| + floor on every finite node."""
+    fin = np.isfinite(tbl.logw)
+    assert fin.sum() > 500
+    err = np.abs(tbl.logw[fin] - want[fin])
+    assert np.all(err <= 1e-14 * np.abs(want[fin]) + floor), float(np.max(err))
+
+
+def _m2_antiderivative(v, db):
+    """int gamma_2 on (0, varphi) for m2, where gamma_2 = (3v - 1)/(v(1 - v)(1 - 2v)):
+    -log v + 2 log(1 - v) - log(1 - 2v), with db = varphi - v and 1 - 2v = 2 db."""
+    return -np.log(v) + 2.0 * np.log(0.5 + db) - np.log(2.0 * db)
+
+
+def _common(a, b):
+    return np.isfinite(a.logw) & np.isfinite(b.logw)
 
 
 class TestLogOmegaLower:
     def test_m1_closed_form(self, m1):
-        # antiderivative 2q*log((3-v)/(3(1-v))), phi_q = 0
-        got = quad.log_omega_lower(m1, 0.5, 0.5)
-        assert got == pytest.approx(-math.log(2.5 / 1.5), abs=1e-11)
+        # gamma_q = q/rho, antiderivative 2q log((3-v)/(3(1-v))) = 2q log1p(2v/(3 db)), phi_q = 0
+        for q in (0.25, 0.5, 1.0):
+            tbl = sc._table(m1, q)
+            assert tbl.theta == 0.0
+            _assert_logw(tbl, -2.0 * q * np.log1p(2.0 * tbl.pts.v / (3.0 * tbl.pts.db)))
 
     def test_at_delimiter_zero(self, m2):
-        phi2 = md.root_phi_q(m2, 2.0)
-        assert quad.log_omega_lower(m2, 2.0, phi2) == 0.0
+        # the Phi_2 table is anchored at its delimiter phi_2 = 1/3, where logw vanishes
+        tbl = sc._table(m2, 2.0)
+        assert tbl.theta == md.root_phi_q(m2, 2.0)
+        at_theta = _m2_antiderivative(tbl.theta, tbl.high - tbl.theta)
+        _assert_logw(tbl, at_theta - _m2_antiderivative(tbl.pts.v, tbl.pts.db), floor=1e-14)
 
-    def test_m3_vs_fixed_order_oracle(self, m3):
-        # independent oracle: 200-point Gauss-Legendre of gamma_1 on [0, 0.5]
-        x, w = np.polynomial.legendre.leggauss(200)
-        nodes = 0.25 * (x + 1.0)
-        gam = np.array([quad.gamma_q(m3, 1.0, v) for v in nodes])
-        oracle = -0.25 * float(np.dot(w, gam))
-        got = quad.log_omega_lower(m3, 1.0, 0.5)
-        assert got == pytest.approx(oracle, abs=1e-10)
-        # closed form: gamma_1 = -(log D)' with D = (3-v)(1-v)/2
-        assert got == pytest.approx(math.log(0.625 / 1.5), abs=1e-11)
-
-    def test_ode_property(self, m1, m3):
-        # numerical derivative of log_omega_lower equals -gamma_q to 1e-6 relative
-        h = 1e-5
-        for spec, q, v in ((m1, 0.5, 0.4), (m3, 1.0, 0.55)):
-            dl = (quad.log_omega_lower(spec, q, v + h) -
-                  quad.log_omega_lower(spec, q, v - h)) / (2 * h)
-            assert dl == pytest.approx(-quad.gamma_q(spec, q, v), rel=1e-6)
+    def test_m3_closed_form(self, m3):
+        # gamma_1 = -(log D)' with D = (3-v)(1-v)/2, so logw = log((3-v)(1-v)/3)
+        tbl = sc._table(m3, 1.0)
+        v, db = tbl.pts.v, tbl.pts.db
+        want = np.log((3.0 - v) * db / 3.0)
+        near_zero = v < 0.5  # (3-v)(1-v)/3 = 1 - v(4-v)/3
+        want[near_zero] = np.log1p(-v[near_zero] * (4.0 - v[near_zero]) / 3.0)
+        _assert_logw(tbl, want)
 
     def test_delimiter_shift_is_constant(self, m2):
-        q = 2.0
-        shifts = []
-        for v in (0.05, 0.2, 0.4):
-            a = quad.log_omega_lower(m2, q, v, theta=0.1)
-            b = quad.log_omega_lower(m2, q, v, theta=0.3)
-            shifts.append(a - b)
-        assert max(shifts) - min(shifts) < 1e-10
+        a = sc._table(m2, 2.0, theta=0.1)
+        b = sc._table(m2, 2.0, theta=0.3)
+        assert np.array_equal(a.pts.v, b.pts.v)
+        both = _common(a, b)
+        shift = a.logw[both] - b.logw[both]
+        assert np.ptp(shift) < 1e-13
+        # -int_0.1^0.3 gamma_2
+        want = _m2_antiderivative(0.1, a.high - 0.1) - _m2_antiderivative(0.3, a.high - 0.3)
+        assert np.mean(shift) == pytest.approx(want, abs=1e-13)
 
     def test_mu0_linear_in_q(self, m1):
-        vals = {q: quad.log_omega_lower(m1, q, 0.6) for q in (0.25, 0.5, 1.0)}
-        assert vals[0.5] / vals[0.25] == pytest.approx(2.0, rel=1e-10)
-        assert vals[1.0] / vals[0.25] == pytest.approx(4.0, rel=1e-10)
+        # at mu = 0, gamma_q = q/rho: the panel sums scale by exact powers of 2
+        base = sc._table(m1, 0.25)
+        for q in (0.5, 1.0):
+            tbl = sc._table(m1, q)
+            both = _common(base, tbl)
+            assert both.sum() > 500
+            assert np.array_equal(tbl.logw[both], q / 0.25 * base.logw[both])
 
     def test_precondition(self, m2):
-        # m2 at q = 0.5 has phi_q = 2/3 > varphi = 1/2
-        with pytest.raises(PreconditionError):
-            quad.log_omega_lower(m2, 0.5, 0.25)
+        # m2 at q = 0.5 has phi_q = 2/3 > varphi = 1/2: no table is built
+        with pytest.raises(UnsupportedRegimeError):
+            sc.phi_q_with_delimiter(m2, 0.5, 1, 0.25)
+
+
+def _m4_upper_logw(tbl, q):
+    """-int_v^1 gamma_q for m4: 2q log(1 - sqrt(db)/0.8); near varphi,
+    0.8 - sqrt(db) = da/(0.8 + sqrt(db)) with da measured from the table's root."""
+    sq = np.sqrt(tbl.pts.db)
+    near_one = sq < 0.4
+    out = np.empty_like(sq)
+    out[near_one] = np.log1p(-sq[near_one] / 0.8)
+    out[~near_one] = np.log(tbl.pts.da[~near_one] / (0.8 * (0.8 + sq[~near_one])))
+    return 2.0 * q * out
 
 
 class TestLogOmegaUpper:
     def test_m4_closed_form(self, m4):
-        # I(v) = 2 log(0.8/(0.8-sqrt(1-v))); at v = 0.99, sqrt = 0.1
-        got = quad.log_omega_upper(m4, 1.0, 0.99)
-        assert got == pytest.approx(-2.0 * math.log(0.8 / 0.7), abs=1e-11)
+        # I(v) = 2q log(0.8/(0.8-sqrt(1-v))); the last node carries the ~1e-137
+        # left out beyond it
+        for q in (1.0, 2.0):
+            tbl = sc._table(m4, q, branch="upper")
+            _assert_logw(tbl, _m4_upper_logw(tbl, q))
 
     def test_linear_in_q(self, m4):
-        a = quad.log_omega_upper(m4, 1.0, 0.99)
-        b = quad.log_omega_upper(m4, 2.0, 0.99)
-        assert b == pytest.approx(2.0 * a, rel=1e-11)
+        a = sc._table(m4, 1.0, branch="upper")
+        b = sc._table(m4, 2.0, branch="upper")
+        both = _common(a, b)
+        assert both.sum() > 500
+        assert np.array_equal(b.logw[both], 2.0 * a.logw[both])
 
     def test_vanishes_at_one(self, m4):
-        assert abs(quad.log_omega_upper(m4, 1.0, 1.0 - 1e-9)) < 1e-4
+        tbl = sc._table(m4, 1.0, branch="upper")
+        fin = np.isfinite(tbl.logw)
+        assert tbl.logw[-1] == 0.0
+        assert np.all(np.diff(tbl.logw[fin]) >= 0.0)
+        assert np.all(np.abs(tbl.logw[fin & (tbl.pts.db < 1e-9)]) < 1e-4)
 
     def test_requires_explosive(self, m1):
-        with pytest.raises(PreconditionError):
-            quad.log_omega_upper(m1, 1.0, 0.99)
-
-    def test_weight_eval(self, m4):
-        we = quad.weight_eval(m4, 1.0, 0.99)
-        assert we.rho == pytest.approx(quad.rho(m4, 0.99), rel=1e-14)
-        assert we.log_omega == pytest.approx(-2.0 * math.log(0.8 / 0.7), abs=1e-11)
+        # varphi = 1: the upper interval (varphi, 1) is empty
+        with pytest.raises(DomainError):
+            sc._table(m1, 1.0, branch="upper")

@@ -4,7 +4,8 @@ Binary offspring (p0 = 1 - p2, p2) at rate lam, with no immigration, +1
 immigration or -1 culling at rate mu, is a birth-death chain with
 b(y) = lam p2 y + mu [+1] and d(y) = lam p0 y + mu [-1].  Every case must match
 the oracle within REL or refuse with a typed error; levels reach (900, 899),
-where Phi_q itself underflows.
+where Phi_q itself underflows.  The at-minimum law at x = 200 is checked the
+same way, entry by entry.
 """
 
 import math
@@ -19,6 +20,7 @@ REL = 1e-8
 REFUSALS = (UnsupportedRegimeError, PreconditionError, QuadratureError)
 LEVELS = ((1, 0), (5, 0), (20, 3), (60, 50), (200, 199), (900, 899))
 Y_MAX = max(x for x, _ in LEVELS)
+ATMIN_X = 200  # atmin_law(spec, q, ATMIN_X) is checked at every level 0..ATMIN_X
 
 FAMILIES = [(p2, lam, step, mu) for p2 in (0.25, 0.5, 0.75) for lam in (1.0, 2.0)
             for step, mu in ((0, 0.0), (1, 0.7), (1, 1.5), (-1, 0.49), (-1, 1.5))]
@@ -85,3 +87,11 @@ def test_lt_first_passage_matches_birth_death(p2, lam, step, mu, q, time_limit):
                 continue
             want = math.exp(math.fsum(logs[a + 1:x + 1]))
             assert got == pytest.approx(want, rel=REL, abs=0.0), (x, a)
+        try:
+            pmf = ps.atmin_law(spec, q, ATMIN_X).pmf
+        except REFUSALS:
+            return
+    # P_x(X_G = k) = Phi(x)/Phi(k) (1 - Phi(k)/Phi(k-1)), the last factor 1 at k = 0
+    want = [math.exp(math.fsum(logs[k + 1:ATMIN_X + 1])) * (-math.expm1(logs[k]) if k else 1.0)
+            for k in range(ATMIN_X + 1)]
+    assert pmf == pytest.approx(want, rel=REL, abs=0.0)
