@@ -6,7 +6,6 @@ from .control import BellmanReport, ControlProblem, barrier_gap, barrier_value, 
 from .model import (  # noqa: F401
     ImmigrationLaw, ModelSpec, OffspringLaw, RegimeReport,
     classify, dump_model, is_explosive, load_model, make_spec,
-    normalize_remove_p1, pgf_immigration, pgf_offspring,
     root_phi_q, root_varphi, root_varphi_qbar, spec_from_dict, spec_to_dict, validate,
 )
 from .passage import (  # noqa: F401
@@ -18,10 +17,9 @@ from .passage import (  # noqa: F401
 from .quad import QuadConfig  # noqa: F401
 from .scale import harmonic_residual, log_phi_fn, log_phi_q_qbar_fn, phi_0_fn, phi_fn, phi_q_fn, phi_q_qbar_fn, psi_q_fn  # noqa: F401
 from .sim import (  # noqa: F401
-    Estimate, PathOutcome, SimConfig, atmin_clock_sample,
+    Estimate, SimConfig, atmin_clock_sample,
     estimate_explosion, estimate_explosion_time, estimate_joint_avalanche,
-    estimate_lt_passage, estimate_mean_passage, sample_immigration,
-    sample_offspring, simulate_controlled, simulate_path,
+    estimate_lt_passage, estimate_mean_passage, simulate_controlled,
 )
 
 __version__ = "0.1.0"

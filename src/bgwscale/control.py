@@ -44,9 +44,9 @@ def _gap(problem: ControlProblem, a: int, cfg: QuadConfig) -> tuple[sc._Resolved
     """(Phi_q, B(a), log B(a)).  B(a) = Phi_q(a) - Phi_q(a+1) is one table integral
     with the kernel 1 - v, whose log stays finite where Phi_q(a) underflows, or
     varphi^a - varphi^(a+1) exactly on the power branch."""
+    a = check_level(a, "a")
     if a < problem.floor:
         raise PreconditionError("barrier must sit at or above the floor")
-    a = check_level(a, "a")
     r = sc._phi(problem.spec, problem.q, cfg)
     if r.tbl is None:
         log_gap = a * math.log(r.base) + (math.log1p(-r.base) if r.base < 1.0 else -math.inf)

@@ -258,7 +258,6 @@ class ModelSpec:
     lam: float
     immigration: ImmigrationLaw = field(default_factory=ImmigrationLaw.none)
     mu: float = 0.0
-    original_lam: float = 0.0  # rate before the p_1 normalization
 
     @property
     def has_immigration(self) -> bool:
@@ -279,11 +278,9 @@ def make_spec(offspring: OffspringLaw, lam: float,
     except DomainError as exc:
         raise ModelError(str(exc)) from None
     immigration = immigration if immigration is not None else ImmigrationLaw.none()
-    original = lam
     if offspring.kind == "tabular" and offspring.prob1 > 0.0:
         offspring, lam = _remove_p1(offspring, lam)
-    return ModelSpec(offspring=offspring, lam=lam, immigration=immigration,
-                     mu=mu, original_lam=original)
+    return ModelSpec(offspring=offspring, lam=lam, immigration=immigration, mu=mu)
 
 
 def _remove_p1(law: OffspringLaw, lam: float) -> tuple[OffspringLaw, float]:
@@ -294,20 +291,6 @@ def _remove_p1(law: OffspringLaw, lam: float) -> tuple[OffspringLaw, float]:
     keep[1] = 0.0
     keep /= 1.0 - p1
     return OffspringLaw(kind="tabular", pmf=tuple(keep)), lam * (1.0 - p1)
-
-
-def normalize_remove_p1(spec: ModelSpec) -> ModelSpec:
-    """Condition the offspring law on k != 1 and rescale lam to lam*(1-p_1).
-
-    Idempotent when p_1 = 0 already.  Only tabular laws carry an explicit p_1.
-    """
-    if spec.offspring.kind != "tabular":
-        return spec
-    if spec.offspring.prob1 == 0.0:
-        return spec
-    law, lam = _remove_p1(spec.offspring, spec.lam)
-    return ModelSpec(offspring=law, lam=lam, immigration=spec.immigration,
-                     mu=spec.mu, original_lam=spec.original_lam or spec.lam)
 
 
 def validate(spec: ModelSpec) -> list[str]:
@@ -345,18 +328,6 @@ def require_valid(spec: ModelSpec) -> None:
     problems = validate(spec)
     if problems:
         raise ModelError("invalid model: " + "; ".join(problems))
-
-
-# ---------------------------------------------------------------------------
-# pgf operations (free-function entry points)
-# ---------------------------------------------------------------------------
-
-def pgf_offspring(law: OffspringLaw, v: float) -> float:
-    return law.pgf(v)
-
-
-def pgf_immigration(law: ImmigrationLaw, v: float) -> float:
-    return law.pgf(v)
 
 
 # ---------------------------------------------------------------------------

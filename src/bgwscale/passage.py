@@ -135,14 +135,6 @@ class AtMinLaw:
     q: float
     pmf: tuple[float, ...]  # index k = 0..x
 
-    def lt_G(self, alpha: float, k: int, spec: md.ModelSpec,
-             cfg: QuadConfig = DEFAULT_CFG) -> float:
-        return atmin_lt_G(spec, self.q, alpha, self.x, k, cfg)
-
-    def lt_residual(self, alpha: float, k: int, spec: md.ModelSpec,
-                    cfg: QuadConfig = DEFAULT_CFG) -> float:
-        return atmin_lt_residual(spec, self.q, alpha, self.x, k, cfg)
-
 
 def atmin_law(spec: md.ModelSpec, q: float, x: int, cfg: QuadConfig = DEFAULT_CFG) -> AtMinLaw:
     """P_x(X_G = k) = Phi_q(x)/Phi_q(k) - Phi_q(x)/Phi_q(k-1) 1{k>=1}; telescopes to 1.
@@ -207,6 +199,7 @@ def conditioned_generator(spec: md.ModelSpec, q: float, x_max: int,
                           cfg: QuadConfig = DEFAULT_CFG) -> ConditionedGenerator:
     md.require_valid(spec)
     x_max = check_level(x_max, "x_max", low=1)
+    check_rate(q, "q")
     varphi = md.root_varphi(spec)
     floor_q = max(spec.mu * (spec.immigration.pgf(varphi) - 1.0), 0.0) \
         if spec.has_immigration else 0.0

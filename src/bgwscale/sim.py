@@ -25,17 +25,13 @@ from . import model as md
 from .errors import AdmissibilityError, DomainError, PreconditionError, check_level, check_rate
 
 __all__ = [
-    "SimConfig", "PathOutcome", "Estimate",
-    "sample_offspring", "sample_immigration", "simulate_path",
+    "SimConfig", "Estimate",
     "estimate_lt_passage", "estimate_joint_avalanche", "estimate_mean_passage",
     "estimate_explosion", "estimate_explosion_time",
     "atmin_clock_sample", "simulate_controlled",
 ]
 
 HIT, THRESHOLD, CENSORED, CLOCK_RING = 1, 2, 3, 4  # CENSORED: jump limit or horizon
-
-_KIND = {HIT: "hit_level", THRESHOLD: "exceeded_threshold", CENSORED: "censored",
-         CLOCK_RING: "clock_ring"}
 
 
 @dataclass(frozen=True)
@@ -47,21 +43,11 @@ class SimConfig:
     horizon: float = math.inf
 
     def __post_init__(self):
-        check_level(self.n_paths, "n_paths", low=1)
-        check_level(self.explosion_threshold, "explosion_threshold", low=2)
+        for name, low in (("seed", -math.inf), ("n_paths", 1), ("max_jumps", 1),
+                          ("explosion_threshold", 2)):
+            object.__setattr__(self, name, check_level(getattr(self, name), name, low=low))
         if not self.horizon > 0.0:  # inf allowed, NaN refused
             raise DomainError(f"horizon must be > 0, got {self.horizon!r}")
-
-
-@dataclass(frozen=True)
-class PathOutcome:
-    kind: str
-    terminal_time: float
-    min_level: int
-    t_last_min: float
-    area: float
-    jumps: int
-    final_pop: int
 
 
 @dataclass(frozen=True)
@@ -186,17 +172,6 @@ class _ImmigrationSampler:
         return _invert_sibuya(u, self.law.alpha, self.table)
 
 
-def sample_offspring(law: md.OffspringLaw, rng) -> int:
-    """One offspring count; ``rng`` is a numpy Generator (inverse-CDF transform)."""
-    u = np.asarray([rng.random()])
-    return int(_OffspringSampler(law).draw(u)[0])
-
-
-def sample_immigration(law: md.ImmigrationLaw, rng) -> int:
-    u = np.asarray([rng.random()])
-    return int(_ImmigrationSampler(law).draw(u)[0])
-
-
 # ---------------------------------------------------------------------------
 # batched Gillespie core
 # ---------------------------------------------------------------------------
@@ -310,17 +285,6 @@ def _run_batch(spec: md.ModelSpec, x0: int, a: int, cfg: SimConfig,
     return res
 
 
-def simulate_path(spec: md.ModelSpec, x0: int, a: int, qclock: float | None = None,
-                  cfg: SimConfig = SimConfig(), path_index: int = 0) -> PathOutcome:
-    """Single path; ``path_index`` selects the counter-based stream within the seed."""
-    res = _run_batch(spec, x0, a, replace(cfg, n_paths=path_index + 1), qclock=qclock)
-    i = path_index
-    return PathOutcome(kind=_KIND[int(res.status[i])], terminal_time=float(res.time[i]),
-                       min_level=int(res.min_level[i]), t_last_min=float(res.t_last_min[i]),
-                       area=float(res.area[i]), jumps=int(res.jumps[i]),
-                       final_pop=int(res.pop[i]))
-
-
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
@@ -422,9 +386,8 @@ def atmin_clock_sample(spec: md.ModelSpec, q: float, x: int, cfg: SimConfig) -> 
 def simulate_controlled(problem, policy, x0: int, cfg: SimConfig) -> Estimate:
     """Mean discounted immigration cost of a control policy.
 
-    ``policy``: ("barrier", a) with a >= floor; ("topup", m) refilling to
-    max(current, floor+m) after each death; or a callable mapping the
-    level-after-death array to immigrant counts (must keep the level > floor).
+    ``policy``: ("barrier", a) with a >= floor, or ("topup", m) refilling to
+    max(current, floor+m) after each death; a and m are levels.
     """
     spec = problem.spec
     fl, q = problem.floor, problem.q
@@ -432,24 +395,19 @@ def simulate_controlled(problem, policy, x0: int, cfg: SimConfig) -> Estimate:
     lam = spec.lam
     off = _OffspringSampler(spec.offspring)
 
-    if callable(policy):
+    kind, par = policy if isinstance(policy, tuple) and len(policy) == 2 else (policy, None)
+    if kind not in ("barrier", "topup"):
+        raise DomainError(f"policy must be ('barrier' | 'topup', level), got {policy!r}")
+    par = check_level(par, f"{kind} level")
+    if kind == "barrier":
+        if par < fl:
+            raise PreconditionError("barrier below the floor is inadmissible")
         def immigrants(levels):
-            return np.asarray(policy(levels), dtype=np.int64)
-        label = "custom"
+            return np.maximum(par + 1 - levels, 0)
     else:
-        kind, par = policy
-        if kind == "barrier":
-            if par < fl:
-                raise PreconditionError("barrier below the floor is inadmissible")
-            def immigrants(levels):
-                return np.maximum(par + 1 - levels, 0)
-            label = f"barrier({par})"
-        elif kind == "topup":
-            def immigrants(levels):
-                return np.maximum(fl + par - levels, 0)
-            label = f"topup({par})"
-        else:
-            raise DomainError(f"unknown policy {kind!r}")
+        def immigrants(levels):
+            return np.maximum(fl + par - levels, 0)
+    label = f"{kind}({par})"
 
     x0 = check_level(x0, "x0")
     n = cfg.n_paths

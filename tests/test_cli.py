@@ -318,11 +318,25 @@ class TestNegativeRates:
         ("m1", ["scale", "--q", "-1", "--x", "1"]),
         ("m4", ["passage", "explosion", "--q", "-1", "--x", "1", "--a", "0"]),
         ("m3", ["passage", "atmin", "--q", "1", "--x", "3", "--alpha", "-1"]),
+        ("m1", ["passage", "condition", "--q", "-1"]),
+        ("m1", ["control", "gap", "--q", "0.5", "--a", "-1"]),
     ])
     def test_exit64(self, runner, model_dir, model, args):
         r = _invoke(runner, [*args, "--model", str(model_dir / f"{model}.json")])
         assert r.exit_code == 64
         assert r.stdout == ""
+
+
+class TestSimulationLimits:
+    """A jump limit below 1 is a usage error, never an all-censored estimate."""
+
+    @pytest.mark.parametrize("args", [
+        ["control", "simulate", "--q", "0.5", "--x", "1", "--paths", "200", "--max-jumps", "-5"],
+        ["simulate", "--kind", "lt", "--q", "1", "--x", "2", "--paths", "200", "--max-jumps", "0"],
+    ])
+    def test_exit64(self, runner, model_dir, args):
+        r = _invoke(runner, [*args, "--model", str(model_dir / "m1.json")])
+        assert (r.exit_code, r.stdout) == (64, "")
 
 
 #: (option, default, required) per command, in display order.

@@ -25,6 +25,12 @@ CULLED = md.make_spec(md.OffspringLaw.tabular({0: 0.25, 2: 0.75}), 2.0,
                       md.ImmigrationLaw.tabular({-1: 1.0}), 1.5)
 SIM = sim.SimConfig(seed=1, n_paths=50)
 
+
+def _policy(policy):
+    """simulate_controlled on m1 at floor 0, q = 1 and x0 = 1 under ``policy``."""
+    return lambda m1, m4: sim.simulate_controlled(ctl.ControlProblem(m1, 0, 1.0), policy, 1, SIM)
+
+
 #: (id, call(m1, m4), error); m1 is subcritical binary, m4 explosive Sibuya.
 REFUSED = [
     ("phi_q_fn q=nan", lambda m1, m4: sc.phi_q_fn(m1, NAN, 1), DomainError),
@@ -71,6 +77,26 @@ REFUSED = [
      lambda m1, m4: sim.estimate_mean_passage(m1, 2.5, 2.5, SIM), DomainError),
     ("simulate_controlled x0=1.5", lambda m1, m4: sim.simulate_controlled(
         ctl.ControlProblem(m1, 0, 1.0), ("barrier", 0), 1.5, SIM), DomainError),
+    # a policy is a ("barrier" | "topup", level) pair, its level checked like any other
+    ("simulate_controlled barrier=0.5", _policy(("barrier", 0.5)), DomainError),
+    ("simulate_controlled topup=1.5", _policy(("topup", 1.5)), DomainError),
+    ("simulate_controlled barrier=nan", _policy(("barrier", NAN)), DomainError),
+    ("simulate_controlled barrier=-1", _policy(("barrier", -1)), DomainError),
+    ("simulate_controlled unknown kind", _policy(("spiral", 0)), DomainError),
+    ("simulate_controlled no level", _policy(("barrier",)), DomainError),
+    ("simulate_controlled callable", _policy(lambda levels: levels), DomainError),
+    ("SimConfig max_jumps=-5", lambda m1, m4: sim.SimConfig(max_jumps=-5), DomainError),
+    ("SimConfig max_jumps=0", lambda m1, m4: sim.SimConfig(max_jumps=0), DomainError),
+    ("SimConfig max_jumps=2.5", lambda m1, m4: sim.SimConfig(max_jumps=2.5), DomainError),
+    ("SimConfig seed=1.5", lambda m1, m4: sim.SimConfig(seed=1.5), DomainError),
+    ("SimConfig seed=nan", lambda m1, m4: sim.SimConfig(seed=NAN), DomainError),
+    # the argument is checked before it is compared with a floor
+    ("conditioned_generator q=-1", lambda m1, m4: ps.conditioned_generator(m1, -1.0, 2),
+     DomainError),
+    ("conditioned_generator q=nan", lambda m1, m4: ps.conditioned_generator(m1, NAN, 2),
+     DomainError),
+    ("barrier_gap a=-1",
+     lambda m1, m4: ctl.barrier_gap(ctl.ControlProblem(m1, 0, 1.0), -1), DomainError),
     ("verify_bellman f_max=-3",
      lambda m1, m4: ctl.verify_bellman(ctl.ControlProblem(m1, 0, 1.0), 4, -3), DomainError),
     ("make_spec lam=nan", lambda m1, m4: md.make_spec(BINARY, NAN), ModelError),

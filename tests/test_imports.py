@@ -13,6 +13,7 @@ import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -29,6 +30,29 @@ def test_all_names_resolve(module):
     """Every name a module lists in ``__all__`` exists, so ``import *`` works."""
     mod = importlib.import_module(module)
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
+#: The package's public names; an addition or removal here is an API change.
+PUBLIC_API = [
+    "AtMinLaw", "BellmanReport", "ConditionedGenerator", "ControlProblem", "Estimate",
+    "ImmigrationLaw", "ModelSpec", "OffspringLaw", "QuadConfig", "RegimeReport", "SimConfig",
+    "atmin_clock_sample", "atmin_law", "atmin_lt_G", "atmin_lt_residual", "barrier_gap",
+    "barrier_value", "certain_extinction", "classify", "conditioned_generator", "dump_model",
+    "estimate_explosion", "estimate_explosion_time", "estimate_joint_avalanche",
+    "estimate_lt_passage", "estimate_mean_passage", "harmonic_residual", "is_explosive",
+    "load_model", "log_phi_fn", "log_phi_q_qbar_fn", "lt_explosion_before", "lt_first_passage",
+    "lt_joint_avalanche", "make_spec", "mean_explosion", "mean_first_passage", "optimal_value",
+    "phi_0_fn", "phi_fn", "phi_q_fn", "phi_q_qbar_fn", "prob_explosion_before", "prob_passage",
+    "psi_q_fn", "root_phi_q", "root_varphi", "root_varphi_qbar", "simulate_controlled",
+    "spec_from_dict", "spec_to_dict", "tilted_model", "validate", "verify_bellman",
+]
+
+
+def test_public_api_snapshot():
+    """Submodules are left out: which of them are attributes depends on what was imported."""
+    names = sorted(n for n in dir(bgwscale)
+                   if not n.startswith("_") and not isinstance(getattr(bgwscale, n), ModuleType))
+    assert names == PUBLIC_API
 
 
 @pytest.mark.parametrize("module", ["bgwscale", "bgwscale.cli"])

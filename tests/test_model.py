@@ -11,30 +11,30 @@ from bgwscale.errors import DomainError, ModelError, NoImmigrationError
 
 class TestPgf:
     def test_m1_point(self, m1):
-        assert md.pgf_offspring(m1.offspring, 0.5) == pytest.approx(0.8125, abs=1e-15)
+        assert m1.offspring.pgf(0.5) == pytest.approx(0.8125, abs=1e-15)
 
     def test_at_one_is_one(self, m1, m2, m3, m4, m5):
         for spec in (m1, m2, m3, m4, m5):
-            assert md.pgf_offspring(spec.offspring, 1.0) == pytest.approx(1.0, abs=1e-12)
+            assert spec.offspring.pgf(1.0) == pytest.approx(1.0, abs=1e-12)
             if spec.immigration.kind != "none":
-                assert md.pgf_immigration(spec.immigration, 1.0) == pytest.approx(1.0, abs=1e-12)
+                assert spec.immigration.pgf(1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_sibuya_mix_closed_form(self, m4):
         # (1-0.75)^{1/2} = 0.5, so pgf = 0.2 + 0.8*0.5
-        assert md.pgf_offspring(m4.offspring, 0.75) == pytest.approx(0.6, abs=1e-15)
+        assert m4.offspring.pgf(0.75) == pytest.approx(0.6, abs=1e-15)
 
     def test_immigration_values(self, m2, m3, m5):
-        assert md.pgf_immigration(m2.immigration, 0.5) == pytest.approx(2.0, abs=1e-14)
-        assert md.pgf_immigration(m3.immigration, 0.5) == pytest.approx(0.5, abs=1e-15)
-        assert md.pgf_immigration(m5.immigration, 0.75) == pytest.approx(0.5, abs=1e-15)
+        assert m2.immigration.pgf(0.5) == pytest.approx(2.0, abs=1e-14)
+        assert m3.immigration.pgf(0.5) == pytest.approx(0.5, abs=1e-15)
+        assert m5.immigration.pgf(0.75) == pytest.approx(0.5, abs=1e-15)
 
     def test_domain_errors(self, m1, m3):
         with pytest.raises(DomainError):
-            md.pgf_offspring(m1.offspring, 0.0)
+            m1.offspring.pgf(0.0)
         with pytest.raises(DomainError):
-            md.pgf_offspring(m1.offspring, 1.5)
+            m1.offspring.pgf(1.5)
         with pytest.raises(NoImmigrationError):
-            md.pgf_immigration(md.ImmigrationLaw.none(), 0.5)
+            md.ImmigrationLaw.none().pgf(0.5)
 
     def test_one_minus_pgf_stable(self, m3):
         # 1 - r~(v) = 1 - v for m3; check deep into the cancellation zone
@@ -48,12 +48,19 @@ class TestNormalization:
         assert spec.offspring.pmf[0] == pytest.approx(1.0)
         assert spec.offspring.prob1 == 0.0
         assert spec.lam == pytest.approx(1.0)
-        assert spec.original_lam == 2.0
 
     def test_idempotent_on_m1(self, m1):
-        again = md.normalize_remove_p1(m1)
+        again = md.make_spec(m1.offspring, m1.lam)
         assert again.lam == m1.lam
         assert again.offspring.pmf == m1.offspring.pmf
+        assert again == m1
+
+    def test_same_chain_same_spec(self):
+        # p_1 is removed on construction, so both describe one chain and share cache keys
+        with_p1 = md.make_spec(md.OffspringLaw.tabular({0: 0.25, 1: 0.5, 2: 0.25}), 4.0)
+        without = md.make_spec(md.OffspringLaw.tabular({0: 0.5, 2: 0.5}), 2.0)
+        assert with_p1 == without
+        assert hash(with_p1) == hash(without)
 
     def test_three_point(self):
         spec = md.make_spec(md.OffspringLaw.tabular({0: 0.25, 1: 0.5, 2: 0.25}), 4.0)

@@ -7,7 +7,7 @@ from bgwscale import control as ctl
 from bgwscale import model as md
 from bgwscale import passage as ps
 from bgwscale import sim
-from bgwscale.errors import AdmissibilityError
+from bgwscale.errors import AdmissibilityError, DomainError, PreconditionError
 from bgwscale.sim import SimConfig
 
 
@@ -28,7 +28,7 @@ class TestSamplers:
     def test_degenerate(self):
         law = md.OffspringLaw.tabular({0: 1.0})
         rng = np.random.default_rng(1)
-        assert sim.sample_offspring(law, rng) == 0
+        assert sim._OffspringSampler(law).draw(rng.random(1)).tolist() == [0]
 
     def test_sibuya_mixture_survival(self, m4):
         rng = np.random.default_rng(2)
@@ -56,7 +56,7 @@ class TestSamplers:
 
     def test_immigration_sampler(self, m2, m5):
         rng = np.random.default_rng(3)
-        assert sim.sample_immigration(m2.immigration, rng) == -1
+        assert sim._ImmigrationSampler(m2.immigration).draw(rng.random(1)).tolist() == [-1]
         s = sim._ImmigrationSampler(m5.immigration)
         draws = s.draw(np.random.default_rng(4).random(50000))
         assert np.all(draws >= 1)
@@ -80,16 +80,16 @@ class TestSinglePath:
         assert abs(mean_area - 0.5) <= 4 * se_a
 
     def test_outcome_object(self, m1):
-        out = sim.simulate_path(m1, 3, 0, cfg=SimConfig(seed=9, n_paths=1))
-        assert out.kind in {"hit_level", "exceeded_threshold", "censored"}
-        assert out.terminal_time > 0.0
-        assert out.area > 0.0
-        assert out.min_level >= 0
+        res = sim._run_batch(m1, 3, 0, SimConfig(seed=9, n_paths=1))
+        assert res.status[0] in {sim.HIT, sim.THRESHOLD, sim.CENSORED}
+        assert res.time[0] > 0.0
+        assert res.area[0] > 0.0
+        assert res.min_level[0] >= 0
 
     def test_immediate_hit(self, m1):
-        out = sim.simulate_path(m1, 2, 2, cfg=SimConfig(seed=9, n_paths=1))
-        assert out.kind == "hit_level"
-        assert out.terminal_time == 0.0
+        res = sim._run_batch(m1, 2, 2, SimConfig(seed=9, n_paths=1))
+        assert res.status[0] == sim.HIT
+        assert res.time[0] == 0.0
 
     def test_m4_threshold_fraction(self, m4):
         cfg = SimConfig(seed=6, n_paths=20000, explosion_threshold=50000)
@@ -194,10 +194,19 @@ class TestDeterminism:
 
     def test_path_streams_order_independent(self, m1):
         # the same path index gives the same outcome regardless of batch size
-        o1 = sim.simulate_path(m1, 2, 0, cfg=SimConfig(seed=7, n_paths=1), path_index=0)
+        small = sim._run_batch(m1, 2, 0, SimConfig(seed=7, n_paths=10))
         big = sim._run_batch(m1, 2, 0, SimConfig(seed=7, n_paths=50))
-        assert o1.terminal_time == big.time[0]
-        assert o1.area == big.area[0]
+        for name in ("status", "time", "area", "min_level", "t_last_min", "jumps", "pop"):
+            assert np.array_equal(getattr(small, name), getattr(big, name)[:10]), name
+
+    def test_negative_seed(self, m3):
+        cfg = SimConfig(seed=-3, n_paths=3000, explosion_threshold=10**5)
+        est = sim.estimate_lt_passage(m3, 1.0, 2, 0, cfg)
+        assert 0.0 < est.mean < 1.0
+        # integral floats are stored as the ints they equal
+        again = SimConfig(seed=-3.0, n_paths=3000.0, explosion_threshold=1e5)
+        assert again == cfg and type(again.seed) is int
+        assert sim.estimate_lt_passage(m3, 1.0, 2, 0, again).mean == est.mean
 
 
 class TestControlled:
@@ -220,16 +229,25 @@ class TestControlled:
         assert est.mean - 3 * est.se > ctl.optimal_value(prob, 1)
 
     def test_custom_policy(self, m1):
+        # a policy is a ("barrier" | "topup", level) pair; max(1 - level, 0) is barrier(0)
         prob = ctl.ControlProblem(m1, 0, 0.5)
         cfg = SimConfig(seed=24, n_paths=2000, explosion_threshold=10**6)
-        est = sim.simulate_controlled(prob, lambda lv: np.maximum(1 - lv, 0), 1, cfg)
+        with pytest.raises(DomainError):
+            sim.simulate_controlled(prob, lambda lv: np.maximum(1 - lv, 0), 1, cfg)
+        est = sim.simulate_controlled(prob, ("barrier", 0), 1, cfg)
         assert est.mean > 0.0
 
     def test_inadmissible_policy(self, m1):
+        # topup(0) never immigrates, so extinction reaches the floor
         prob = ctl.ControlProblem(m1, 0, 0.5)
         cfg = SimConfig(seed=25, n_paths=200, explosion_threshold=10**6)
         with pytest.raises(AdmissibilityError):
-            sim.simulate_controlled(prob, lambda lv: np.zeros_like(lv), 1, cfg)
+            sim.simulate_controlled(prob, ("topup", 0), 1, cfg)
+
+    def test_barrier_below_floor(self, m1):
+        prob = ctl.ControlProblem(m1, 2, 0.5)
+        with pytest.raises(PreconditionError):
+            sim.simulate_controlled(prob, ("barrier", 1), 3, SimConfig(seed=1, n_paths=10))
 
     def test_supercritical_q0(self, m2prime):
         prob = ctl.ControlProblem(m2prime, 0, 0.0)
