@@ -29,7 +29,7 @@ class ControlProblem:
     q: float         # discount rate
 
     def __post_init__(self):
-        if self.spec.mu != 0.0 or self.spec.immigration.kind != "none":
+        if self.spec.has_immigration:
             raise PreconditionError(
                 "control problems require a pure branching model (mu = 0); "
                 "endogenous immigration mixed with control is not supported")

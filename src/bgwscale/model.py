@@ -142,15 +142,8 @@ class ImmigrationLaw:
     def tabular(pmf: dict[int, float]) -> "ImmigrationLaw":
         if 0 in pmf and pmf[0] != 0.0:
             raise ModelError("r_0 must be 0")
-        r_minus1 = float(pmf.get(-1, 0.0))
-        up = {k: p for k, p in pmf.items() if k >= 1}
-        if up:
-            _, dense = _as_float_array(up, 1)
-        else:
-            dense = np.zeros(0)
-        if not (0.0 <= r_minus1 <= 1.0):
-            raise ModelError("r_-1 outside [0,1]")
-        return ImmigrationLaw(kind="tabular", r_minus1=r_minus1, pmf_up=tuple(dense))
+        _, dense = _as_float_array(pmf, -1)  # dense over k = -1..K
+        return ImmigrationLaw(kind="tabular", r_minus1=float(dense[0]), pmf_up=tuple(dense[2:]))
 
     @staticmethod
     def sibuya(alpha: float) -> "ImmigrationLaw":
@@ -259,14 +252,19 @@ class ModelSpec:
     immigration: ImmigrationLaw = field(default_factory=ImmigrationLaw.none)
     mu: float = 0.0
 
+    def __post_init__(self):
+        # a chain without immigration has one form, so equal chains share cache keys
+        if self.mu == 0.0 or self.immigration.kind == "none":
+            object.__setattr__(self, "immigration", ImmigrationLaw.none())
+            object.__setattr__(self, "mu", 0.0)
+
     @property
     def has_immigration(self) -> bool:
-        return self.mu > 0.0 and self.immigration.kind != "none"
+        return self.mu > 0.0
 
     @property
     def has_culling(self) -> bool:
-        return self.has_immigration and self.immigration.kind == "tabular" \
-            and self.immigration.r_minus1 > 0.0
+        return self.has_immigration and self.immigration.r_minus1 > 0.0
 
 
 def make_spec(offspring: OffspringLaw, lam: float,

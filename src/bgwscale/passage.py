@@ -92,8 +92,7 @@ def mean_first_passage(spec: md.ModelSpec, x: int, a: int,
     phi = md.root_phi_q(spec, 0.0)
     if phi >= 1.0:
         raise PreconditionError("mean_first_passage requires phi < 1")
-    tbl = sc._table(spec, 0.0, numerator="imm", theta=phi if spec.mu > 0.0 else 0.0,
-                    anchor_end=True, cfg=cfg)
+    tbl = sc._table(spec, 0.0, anchor_end=True, cfg=cfg)
     # int (v^a - v^x) exp{int_v^1 gamma_0} / D dv
     return math.exp(tbl.log_value(a, tbl.log_one_minus_pow(x - a)))
 
@@ -101,11 +100,11 @@ def mean_first_passage(spec: md.ModelSpec, x: int, a: int,
 def mean_explosion(spec: md.ModelSpec, x: int, cfg: QuadConfig = DEFAULT_CFG) -> float:
     """P_x[zeta; zeta < inf] for pure branching (mu = 0) explosive chains."""
     x = check_level(x, low=1)
-    if spec.mu != 0.0:
+    if spec.has_immigration:
         raise PreconditionError("mean_explosion requires mu = 0")
     if not md.is_explosive(spec):
         raise PreconditionError("mean_explosion requires an explosive chain")
-    tbl = sc._table(spec, 1.0, branch="upper", numerator="unit", cfg=cfg)
+    tbl = sc._table(spec, 1.0, branch="upper", cut=False, cfg=cfg)
     with np.errstate(divide="ignore"):  # x int v^(x-1) J(v) dv, J = int_v^1 dw/rho = -logw
         return x * math.exp(tbl.log_value(x - 1, weight=np.log(-tbl.logw)))
 
@@ -206,20 +205,19 @@ def conditioned_generator(spec: md.ModelSpec, q: float, x_max: int,
     if q < floor_q - 1e-12:
         raise PreconditionError(
             f"conditioned_generator needs q >= max(mu*(r~(varphi)-1), 0) = {floor_q!r}")
-    lam, mu_eff = spec.lam, spec.mu if spec.has_immigration else 0.0
+    lam, mu, r_minus1 = spec.lam, spec.mu, spec.immigration.r_minus1
     p0 = spec.offspring.prob0
-    r_minus1 = spec.immigration.r_minus1 if spec.immigration.kind == "tabular" else 0.0
     # Upward jumps x -> x+k, k <= kmax, for all rows at once.  A row ends at its first k > 8
     # with term < _JUMP_TAIL_TOL (kept), first zero weight past k_zero, or k = 100001.
     k_zero = math.inf if spec.immigration.kind == "sibuya" else max(len(spec.offspring.pmf), 8)
     x = np.arange(1, x_max + 1)
-    rate = q + mu_eff + lam * x
+    rate = q + mu + lam * x
     kmax = 64
     while True:
         k = np.arange(1, kmax + 1)
         logs = sc.log_phi_fn(spec, q, np.arange(x_max + kmax + 1), cfg)
         pk = spec.offspring.pmf_terms(kmax + 1)
-        w = np.multiply.outer(x, pk[2:] * lam) + mu_eff * spec.immigration.pmf_terms(kmax)[1]
+        w = np.multiply.outer(x, pk[2:] * lam) + mu * spec.immigration.pmf_terms(kmax)[1]
         with np.errstate(invalid="ignore", over="ignore"):
             term = w * np.exp(logs[x[:, None] + k] - logs[x, None]) / rate[:, None]
         stop = np.where(w > 0.0, (term < _JUMP_TAIL_TOL) & (k > 8), k > k_zero) | (k > 100000)
@@ -227,10 +225,10 @@ def conditioned_generator(spec: md.ModelSpec, q: float, x_max: int,
             break
         kmax *= 2
     keep = (w > 0.0) & (term > 0.0) & (k <= np.argmax(stop, axis=1)[:, None] + 1)
-    down = (p0 * lam * x + r_minus1 * mu_eff) * np.exp(logs[x - 1] - logs[x]) / rate
+    down = (p0 * lam * x + r_minus1 * mu) * np.exp(logs[x - 1] - logs[x]) / rate
     rows = [({y - 1: d} if y >= 2 else {}) | dict(zip((y + k[s]).tolist(), t[s].tolist()))
             for y, d, s, t in zip(x.tolist(), down.tolist(), keep, term)]
-    kill = (p0 * lam + r_minus1 * mu_eff) * math.exp(logs[0] - logs[1])
+    kill = (p0 * lam + r_minus1 * mu) * math.exp(logs[0] - logs[1])
     return ConditionedGenerator(x_max=x_max, leave_rates=tuple(rate.tolist()),
                                 jumps=tuple(rows), kill_rate=kill)
 
@@ -252,25 +250,18 @@ def tilted_model(spec: md.ModelSpec, qbar: float) -> md.ModelSpec:
     if v >= 1.0:
         raise PreconditionError("tilting requires varphi_qbar < 1 "
                                 "(supercritical branching when qbar = 0)")
-    ptilde_v = spec.offspring.pgf(v)
-
-    if spec.offspring.kind == "tabular":
-        pmf = {k: p * v**k / ptilde_v for k, p in enumerate(spec.offspring.pmf) if p > 0.0}
-    else:
-        terms = spec.offspring.pmf_terms(_tilt_cutoff(v))
-        pmf = {k: p * v**k / ptilde_v for k, p in enumerate(terms) if p > 0.0}
-    new_off = md.OffspringLaw.tabular(pmf)
+    off, imm = spec.offspring, spec.immigration
+    ptilde_v = off.pgf(v)
+    terms = off.pmf if off.kind == "tabular" else off.pmf_terms(_tilt_cutoff(v))
+    new_off = md.OffspringLaw.tabular({k: p * v**k / ptilde_v
+                                       for k, p in enumerate(terms) if p > 0.0})
 
     if spec.has_immigration:
-        rtilde_v = spec.immigration.pgf(v)
-        if spec.immigration.kind == "tabular":
-            rpmf = {k + 1: p * v ** (k + 1) / rtilde_v
-                    for k, p in enumerate(spec.immigration.pmf_up) if p > 0.0}
-            if spec.immigration.r_minus1 > 0.0:
-                rpmf[-1] = spec.immigration.r_minus1 / (v * rtilde_v)
-        else:
-            _, terms = spec.immigration.pmf_terms(_tilt_cutoff(v))
-            rpmf = {k + 1: p * v ** (k + 1) / rtilde_v for k, p in enumerate(terms) if p > 0.0}
+        rtilde_v = imm.pgf(v)
+        terms = imm.pmf_up if imm.kind == "tabular" else imm.pmf_terms(_tilt_cutoff(v))[1]
+        rpmf = {k + 1: p * v ** (k + 1) / rtilde_v for k, p in enumerate(terms) if p > 0.0}
+        if imm.r_minus1 > 0.0:
+            rpmf[-1] = imm.r_minus1 / (v * rtilde_v)
         new_imm = md.ImmigrationLaw.tabular(rpmf)
         new_mu = spec.mu * rtilde_v
     else:

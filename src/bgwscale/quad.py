@@ -14,10 +14,10 @@ Gauss-Kronrod panels resolve.  Endpoint distances are carried exactly through
 every evaluation; recomputing 1-v or varphi-v from the double v would lose all
 relative accuracy exactly where the integrand mass concentrates.
 
-This module holds the chart (``TSMap``), the blocked and adaptive G7/K15 rules
-(``gk_panels``, ``gk_adaptive``) and the t-space gamma integrand
-(``make_gamma_t``).  ``scale.ScaleTable`` assembles them: it stores
-log omega = -int gamma on every node as ``ScaleTable.logw``.
+This module holds only the chart (``TSMap``) and the blocked and adaptive
+G7/K15 rules (``gk_panels``, ``gk_adaptive``); it knows nothing of the model.
+``scale.ScaleTable`` owns the t-space gamma integrand (``ScaleTable.gamma_t``)
+and stores log omega = -int gamma on every node as ``ScaleTable.logw``.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import model as md
 from .errors import DomainError, QuadratureError, check_rate
 
-__all__ = ["MAX_PANELS", "QuadConfig", "TSMap", "gk_adaptive", "gk_panels", "make_gamma_t"]
+__all__ = ["MAX_PANELS", "QuadConfig", "TSMap", "gk_adaptive", "gk_panels"]
 
 
 @dataclass(frozen=True)
@@ -206,41 +205,3 @@ class TSMap:
         u = math.atanh(y)
         t = math.asinh(2.0 * u / math.pi)
         return max(-T_MAX, min(T_MAX, t))
-
-
-# ---------------------------------------------------------------------------
-# gamma integrand on a chart
-# ---------------------------------------------------------------------------
-
-def make_gamma_t(spec: md.ModelSpec, q: float, chart: TSMap, *,
-                 qbar: float = 0.0, numerator: str = "full",
-                 upper: bool = False) -> Callable[[np.ndarray], np.ndarray]:
-    """t-space integrand of gamma over the chart, as a function of t.
-
-    ``numerator``: "full" -> q + mu(1-r~), "imm" -> mu(1-r~), "unit" -> 1.
-    ``upper``: chart is (varphi, 1), denominator lam*(v - p~(v)) (> 0 there).
-    """
-    gap = md.GapEvaluator(spec, qbar)
-    has_imm = spec.has_immigration
-    mu = spec.mu
-    imm = spec.immigration
-    b_is_one = abs(chart.b - 1.0) < 1e-15
-
-    def g(t: np.ndarray) -> np.ndarray:
-        p = chart.points(t)
-        if upper:
-            d_root = -p.da          # root (= varphi) sits at the left endpoint
-            d_one = p.db
-        else:
-            d_root = p.db           # root (= U) sits at the right endpoint
-            d_one = p.db if b_is_one else 1.0 - p.v
-        if numerator == "unit":
-            num = np.ones_like(p.v)
-        else:
-            num = np.zeros_like(p.v) if numerator == "imm" else np.full_like(p.v, q)
-            if has_imm:
-                num = num + mu * imm.one_minus_pgf(p.v, d_one)
-        gamma = gap.ratio(num, p.v, d_root, d_one)
-        return (-gamma if upper else gamma) * p.dvdt
-
-    return g

@@ -7,7 +7,10 @@ Each is either a power function base^x (the tie branch; Phi_0 = varphi^x) or
 over I = (0, U) (U the smallest root of D: varphi or varphi_qbar) or
 I = (varphi, 1).  One resolver per function picks the branch and returns the
 base or (log_pref, table); its value, its log and ``harmonic_residual`` share
-it.  One table per (model, q, qbar, branch) serves all x: the tanh-sinh node
+it.  One table per (model, q, qbar, chart, theta, anchor, cut) serves all x;
+it owns the one inner weight gamma_q = (q + mu(1 - r~(v)))/D(v)
+(``ScaleTable.gamma_t``), so Phi_0 shares the Phi_{0,0} table and the mean
+explosion weight is q = 1 on an uncut upper table.  A table is the tanh-sinh node
 ladder of I at step 2^-level, the inner integral telescoped from an anchor
 node by one blocked G7/K15 pass over all panels, each side cut once its terms
 fall _LOG_CUT below the running peak, failing panels inside the cut refined
@@ -32,7 +35,7 @@ import numpy as np
 from . import model as md
 from .errors import (DomainError, PreconditionError, QuadratureError, UnsupportedRegimeError,
                      check_level, check_rate)
-from .quad import DEFAULT_CFG, QuadConfig, T_MAX, TSMap, gk_adaptive, gk_panels, make_gamma_t
+from .quad import DEFAULT_CFG, QuadConfig, T_MAX, TSMap, gk_adaptive, gk_panels
 
 #: |phi_q - varphi| below this selects the power-function branch Phi_q = varphi^x.
 BOUNDARY_TIE_TOL = 1e-9
@@ -62,12 +65,13 @@ class ScaleTable:
     """Quadrature table for one scale-function integral family."""
 
     def __init__(self, spec: md.ModelSpec, q: float, qbar: float, branch: str,
-                 numerator: str, theta: float, anchor_end: bool, cfg: QuadConfig):
+                 theta: float, anchor_end: bool, cut: bool, cfg: QuadConfig):
         self.spec = spec
+        self.q = q
         self.branch = branch          # "lower" | "upper"
-        self.numerator = numerator    # "full" | "imm" | "unit"
         self.theta = theta
         self.anchor_end = anchor_end  # anchor the inner integral at the right endpoint
+        self.cut = cut                # end the ladders once their terms are negligible
         self.cfg = cfg
         if branch == "lower":
             self.low, self.high = 0.0, md.root_varphi_qbar(spec, qbar)
@@ -75,8 +79,6 @@ class ScaleTable:
             self.low, self.high = md.root_varphi(spec), 1.0
         self.chart = TSMap(self.low, self.high)
         self.gap = md.GapEvaluator(spec, qbar if branch == "lower" else 0.0)
-        self.gamma_t = make_gamma_t(spec, q, self.chart, qbar=qbar if branch == "lower" else 0.0,
-                                    numerator=numerator, upper=(branch == "upper"))
         self.diagnostics = KernelDiagnostics()
         self._refine()
 
@@ -106,15 +108,14 @@ class ScaleTable:
         npts = len(pts.t)
         self.diagnostics.n_nodes = npts
 
-        # 1 - v exactly: db where the chart ends at 1
-        d_one, log_d_one = ((pts.db, pts.log_db) if self.high == 1.0
-                            else (1.0 - pts.v, np.log1p(-pts.v)))
+        # exact distances to the root and to 1, and their logs, which stay
+        # finite where the distances underflow
+        d_root, d_one = self._distances(pts)
+        log_d_one = pts.log_db if self.high == 1.0 else np.log1p(-pts.v)
         if self.branch == "lower":
-            d_root, log_abs_droot = pts.db, pts.log_db
-            logv = pts.log_da  # a = 0, so v = da exactly
+            log_abs_droot, logv = pts.log_db, pts.log_da  # a = 0, so v = da exactly
         else:
-            d_root, log_abs_droot = -pts.da, pts.log_da
-            logv = np.log1p(-pts.db)
+            log_abs_droot, logv = pts.log_da, np.log1p(-pts.db)
         log_absD = self.gap.log_abs_den(pts.v, d_root, log_abs_droot, d_one)
 
         # anchor node for the telescoped inner integral, and the (oriented)
@@ -166,15 +167,33 @@ class ScaleTable:
         self.log_ts_w = log_ts_w
         self.log_node = log_ts_w + logw - log_absD
 
+    def _distances(self, pts) -> tuple[np.ndarray, np.ndarray]:
+        """(root - v, 1 - v) on chart points, both exact: the root is the right
+        end of the lower chart and the left end of the upper one, and 1 - v is
+        db where the chart ends at 1."""
+        d_one = pts.db if self.high == 1.0 else 1.0 - pts.v
+        return (pts.db if self.branch == "lower" else -pts.da), d_one
+
+    def gamma_t(self, t: np.ndarray) -> np.ndarray:
+        """The inner weight gamma_q = (q + mu(1 - r~(v)))/D(v) times dv/dt at
+        chart coordinates t, negated on the upper chart (where D < 0)."""
+        p = self.chart.points(t)
+        d_root, d_one = self._distances(p)
+        num = np.full_like(p.v, self.q)
+        if self.spec.has_immigration:
+            num = num + self.spec.mu * self.spec.immigration.one_minus_pgf(p.v, d_one)
+        gamma = self.gap.ratio(num, p.v, d_root, d_one)
+        return (-gamma if self.branch == "upper" else gamma) * p.dvdt
+
     def _ladder_len(self, terms: np.ndarray, best: float) -> tuple[int, float]:
         """Steps a ladder takes before a node term falls _LOG_CUT below the
         running peak (seeded with ``best``; NaN never moves it), and the peak
-        there.  The first 9 steps are always taken.  The J-weighted assembly
-        (unit numerator) has no 1/omega damping, so it is never cut."""
+        there.  The first 9 steps are always taken.  Uncut tables (the
+        J-weighted mean explosion time has no 1/omega damping) take every step."""
         peak = np.fmax.accumulate(np.concatenate(([best], terms)))
         stop = terms < peak[1:] - _LOG_CUT
         stop[:9] = False
-        k = int(np.argmax(stop)) if stop.any() and self.numerator != "unit" else len(terms)
+        k = int(np.argmax(stop)) if stop.any() and self.cut else len(terms)
         return k, peak[min(k + 1, len(terms))]
 
     def _panel(self, t0: float, t1: float) -> float:
@@ -224,7 +243,7 @@ class ScaleTable:
             imm, d_one = self.spec.immigration, np.exp(self.log_d_one)
             log_r = np.log(np.maximum(1.0 - imm.one_minus_pgf(self.pts.v, d_one), 1e-300))
             # culling makes r~ blow up like r_-1/v near 0; take that term alone there
-            if imm.kind == "tabular" and imm.r_minus1 > 0.0:
+            if imm.r_minus1 > 0.0:
                 log_r = np.where(self.pts.v < 1e-250, math.log(imm.r_minus1) - self.logv, log_r)
         return log_p, log_r
 
@@ -240,17 +259,17 @@ _CACHE_LOCK = threading.Lock()
 
 
 def _table(spec: md.ModelSpec, q: float, *, qbar: float = 0.0, branch: str = "lower",
-           numerator: str = "full", theta: float | None = None, anchor_end: bool = False,
+           theta: float | None = None, anchor_end: bool = False, cut: bool = True,
            cfg: QuadConfig = DEFAULT_CFG) -> ScaleTable:
     if theta is None:
-        theta = md.root_phi_q(spec, q if numerator == "full" else 0.0)
-    key = (spec, q, qbar, branch, numerator, theta, anchor_end, cfg)
+        theta = md.root_phi_q(spec, q)
+    key = (spec, q, qbar, branch, theta, anchor_end, cut, cfg)
     tbl = _CACHE.get(key)
     if tbl is None:
         with _CACHE_LOCK:
             tbl = _CACHE.get(key)
             if tbl is None:
-                tbl = ScaleTable(spec, q, qbar, branch, numerator, theta, anchor_end, cfg)
+                tbl = ScaleTable(spec, q, qbar, branch, theta, anchor_end, cut, cfg)
                 if len(_CACHE) >= _CACHE_MAX:
                     del _CACHE[next(iter(_CACHE))]
                 _CACHE[key] = tbl
@@ -379,9 +398,7 @@ def _phi_0(spec: md.ModelSpec, cfg: QuadConfig) -> _Resolved:
         if lost > cfg.rel_tol:
             raise QuadratureError("Phi_0 integrand decays too slowly at v = 1 for the chart",
                                   math.nan, lost)
-    phi = md.root_phi_q(spec, 0.0)
-    return _Resolved(log_pref=math.log(spec.mu),
-                     tbl=_table(spec, 0.0, numerator="imm", theta=phi, cfg=cfg))
+    return _Resolved(log_pref=math.log(spec.mu), tbl=_table(spec, 0.0, cfg=cfg))
 
 
 def phi_0_fn(spec: md.ModelSpec, x: int, cfg: QuadConfig = DEFAULT_CFG) -> float:
@@ -420,16 +437,14 @@ def _phi_q_qbar(spec: md.ModelSpec, q: float, qbar: float, cfg: QuadConfig) -> _
     vq = md.root_varphi_qbar(spec, qbar)
     if q == 0.0 and vq >= 1.0:
         raise PreconditionError("need q > 0 or varphi_qbar < 1")
-    if spec.mu == 0.0 and q == 0.0:
+    if q == 0.0 and not spec.has_immigration:
         # q -> 0 limit of the general expression (power function)
         return _Resolved(vq)
     shift = spec.mu * (spec.immigration.pgf(vq) - 1.0) if spec.has_immigration else 0.0
     if not q > shift + 1e-12:
         raise UnsupportedRegimeError("q > mu*(r~(varphi_qbar)-1)",
                                      f"q={q!r}, mu*(r~(varphi_qbar)-1)={shift!r}")
-    theta = md.root_phi_q(spec, q)
-    return _Resolved(log_pref=math.log(q - shift),
-                     tbl=_table(spec, q, qbar=qbar, theta=theta, cfg=cfg))
+    return _Resolved(log_pref=math.log(q - shift), tbl=_table(spec, q, qbar=qbar, cfg=cfg))
 
 
 def phi_q_qbar_fn(spec: md.ModelSpec, q: float, qbar: float, x: int,
@@ -467,7 +482,7 @@ def harmonic_residual(spec: md.ModelSpec, q: float, qbar: float, f: str, x: int,
         raise DomainError(f"unknown scale function tag {f!r}")
     r = resolve()
     lam, mu = spec.lam, spec.mu
-    imm = mu > 0.0 and spec.has_immigration
+    imm = spec.has_immigration
     if r.tbl is None:
         log_p = math.log(spec.offspring.pgf(r.base))
         log_r = math.log(spec.immigration.pgf(r.base)) if imm else None
@@ -493,7 +508,7 @@ def phi_q_mu0_simplified(spec: md.ModelSpec, q: float, x: int,
                          cfg: QuadConfig = DEFAULT_CFG) -> float:
     """Integration-by-parts form valid for mu = 0:
     Phi_q(x) = delta_{x0} + x int_0^varphi v^{x-1} exp{-int_0^v gamma_q} dv."""
-    if spec.mu != 0.0:
+    if spec.has_immigration:
         raise PreconditionError("simplified form needs mu = 0")
     x = _check_x(x)
     tbl = _phi_q(spec, q, cfg).tbl  # at mu = 0, phi_q = 0 < varphi: never the power branch

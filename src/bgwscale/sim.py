@@ -197,10 +197,9 @@ def _run_batch(spec: md.ModelSpec, x0: int, a: int, cfg: SimConfig,
     a = check_level(a, "a")
     x0 = check_level(x0, "x0", low=a)
     n = cfg.n_paths
-    lam, has_imm = spec.lam, spec.has_immigration
-    mu_eff = spec.mu if has_imm else 0.0
+    lam, mu = spec.lam, spec.mu
     off = _OffspringSampler(spec.offspring)
-    imm = _ImmigrationSampler(spec.immigration) if has_imm else None
+    imm = _ImmigrationSampler(spec.immigration) if spec.has_immigration else None
 
     res = _BatchResult(
         status=np.zeros(n, dtype=np.int8),
@@ -240,7 +239,7 @@ def _run_batch(spec: md.ModelSpec, x0: int, a: int, cfg: SimConfig,
         res.pop[idx] = pop[mask]
 
     while pid.size:
-        rate = lam * pop.astype(float) + mu_eff
+        rate = lam * pop.astype(float) + mu
         u0 = _u01(cfg.seed, pid, steps, 0)
         hold = -np.log(u0) / rate
         t_next = t + hold
@@ -258,7 +257,7 @@ def _run_batch(spec: md.ModelSpec, x0: int, a: int, cfg: SimConfig,
         area = area + pop * (t_next - t)
         t = t_next
         u2 = _u01(cfg.seed, pid, steps, 2)
-        if mu_eff > 0.0:
+        if mu > 0.0:
             branching = _u01(cfg.seed, pid, steps, 1) < lam * pop / rate
         else:
             branching = np.ones(pid.size, dtype=bool)
@@ -266,7 +265,7 @@ def _run_batch(spec: md.ModelSpec, x0: int, a: int, cfg: SimConfig,
         jump = np.empty(pid.size, dtype=np.int64)
         if np.any(branching):
             jump[branching] = off.draw(u2[branching]) - 1
-        if mu_eff > 0.0 and not np.all(branching):
+        if mu > 0.0 and not np.all(branching):
             jump[~branching] = imm.draw(u2[~branching])
         pop = np.minimum(pop + jump, np.int64(2 * _K_CAP))
 

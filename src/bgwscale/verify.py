@@ -40,7 +40,7 @@ def analytic_suite(spec: md.ModelSpec) -> list[Check]:
 
     err = abs(spec.offspring.pgf(1.0) - 1.0)
     checks.append(("offspring pgf(1) = 1", err <= 1e-12, f"err={err:.2e}"))
-    if spec.immigration.kind != "none":
+    if spec.has_immigration:
         err = abs(spec.immigration.pgf(1.0) - 1.0)
         checks.append(("immigration pgf(1) = 1", err <= 1e-12, f"err={err:.2e}"))
 

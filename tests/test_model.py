@@ -5,8 +5,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bgwscale import control as ctl
 from bgwscale import model as md
+from bgwscale import passage as ps
 from bgwscale.errors import DomainError, ModelError, NoImmigrationError
+
+BINARY = md.OffspringLaw.tabular({0: 0.75, 2: 0.25})
+SUPER = md.OffspringLaw.tabular({0: 0.25, 2: 0.75})
+SIBUYA = md.OffspringLaw.sibuya_mix(0.2, 0.5)
+
+#: Two forms of one chain, a call that earlier versions refused on the first
+#: form (or None), and its value on the second.
+SAME_CHAIN = [
+    # p_1 is removed on construction
+    (md.make_spec(md.OffspringLaw.tabular({0: 0.25, 1: 0.5, 2: 0.25}), 4.0),
+     md.make_spec(md.OffspringLaw.tabular({0: 0.5, 2: 0.5}), 2.0), None, None),
+    # no immigration: mu > 0 with law "none", mu = 0 with a law, and the plain spec
+    (md.make_spec(SUPER, 1.0, None, mu=0.5), md.make_spec(SUPER, 1.0),
+     lambda s: ps.lt_joint_avalanche(s, 0.0, 1.0, 3, 1), 0.01728775514312062),
+    (md.make_spec(SIBUYA, 1.0, md.ImmigrationLaw.none(), 0.7), md.make_spec(SIBUYA, 1.0),
+     lambda s: ps.mean_explosion(s, 1), 1.919999999999993),
+    (md.make_spec(SIBUYA, 1.0, md.ImmigrationLaw.none(), 0.7), md.make_spec(SIBUYA, 1.0),
+     lambda s: ctl.optimal_value(ctl.ControlProblem(s, 0, 0.5), 1), 0.2295081967213117),
+    (md.make_spec(BINARY, 1.0, md.ImmigrationLaw.tabular({1: 1.0}), 0.0),
+     md.make_spec(BINARY, 1.0), lambda s: ctl.optimal_value(ctl.ControlProblem(s, 0, 0.5), 1),
+     1.3105859683466703),
+]
 
 
 class TestPgf:
@@ -56,11 +80,12 @@ class TestNormalization:
         assert again == m1
 
     def test_same_chain_same_spec(self):
-        # p_1 is removed on construction, so both describe one chain and share cache keys
-        with_p1 = md.make_spec(md.OffspringLaw.tabular({0: 0.25, 1: 0.5, 2: 0.25}), 4.0)
-        without = md.make_spec(md.OffspringLaw.tabular({0: 0.5, 2: 0.5}), 2.0)
-        assert with_p1 == without
-        assert hash(with_p1) == hash(without)
+        # both forms describe one chain, so they compare equal and share cache keys
+        for one, other, call, want in SAME_CHAIN:
+            assert one == other
+            assert hash(one) == hash(other)
+            if call is not None:
+                assert call(one) == call(other) == pytest.approx(want, rel=1e-12)
 
     def test_three_point(self):
         spec = md.make_spec(md.OffspringLaw.tabular({0: 0.25, 1: 0.5, 2: 0.25}), 4.0)
@@ -166,6 +191,12 @@ class TestJson:
     def test_rejects_r0(self):
         with pytest.raises(ModelError):
             md.ImmigrationLaw.tabular({0: 0.5, 1: 0.5})
+
+    def test_rejects_support_below_culling(self):
+        for pmf in ({-2: 0.5, 1: 0.5}, {-3: 0.0, 2: 1.0}):
+            msg = f"support point {min(pmf)} below allowed minimum -1"
+            with pytest.raises(ModelError, match=msg):
+                md.ImmigrationLaw.tabular(pmf)
 
 
 @st.composite

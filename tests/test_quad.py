@@ -105,10 +105,9 @@ class TestGaussKronrod:
 def _gamma(spec, q, v, upper=False):
     """gamma_q(v) = (q + mu(1 - r~(v))) / |D(v)| from the t-space integrand of
     the table on v's side of varphi."""
-    varphi = md.root_varphi(spec)
-    chart = quad.TSMap(varphi, 1.0) if upper else quad.TSMap(0.0, varphi)
-    t = np.array([chart.t_of(v)])
-    return float(quad.make_gamma_t(spec, q, chart, upper=upper)(t)[0] / chart.points(t).dvdt[0])
+    tbl = sc._table(spec, q, branch="upper" if upper else "lower")
+    t = np.array([tbl.chart.t_of(v)])
+    return float(tbl.gamma_t(t)[0] / tbl.chart.points(t).dvdt[0])
 
 
 class TestWeights:
@@ -124,16 +123,18 @@ class TestWeights:
         # (1 + 1*(1-0.5)) / (2*(0.8125-0.5)) = 1.5/0.625
         assert _gamma(m3, 1.0, 0.5) == pytest.approx(2.4, abs=1e-13)
 
-    def test_gamma_sign_change_at_phi_q(self, m2):
+    def test_gamma_sign_change_at_phi_q(self, m2, m4):
         # q = 2: phi_2 = 1/3 sits strictly below varphi = 1/2
         phi2 = md.root_phi_q(m2, 2.0)
         for v in (0.05, 0.2, phi2 - 1e-3):
             assert _gamma(m2, 2.0, v) < 0.0
         for v in (phi2 + 1e-3, 0.45):
             assert _gamma(m2, 2.0, v) > 0.0
-        for v in (0.55, 0.9):
-            assert _gamma(m2, 2.0, v, upper=True) > 0.0
         assert abs(_gamma(m2, 2.0, phi2)) < 1e-10
+        # above varphi, on an upper table; those exist for explosive chains
+        # only, such as m4 (varphi = 0.36)
+        for v in (0.45, 0.9):
+            assert _gamma(m4, 2.0, v, upper=True) > 0.0
 
 
 # log omega = -int gamma is ScaleTable.logw on the table's own nodes.  The

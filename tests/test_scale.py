@@ -248,14 +248,13 @@ def _reference_logw(tbl: sc.ScaleTable) -> np.ndarray:
         base = -panel(tbl.chart.t_of(tbl.theta), t[ja])
     logw = np.full(npts, -np.inf)
     logw[ja] = base
-    no_cut = tbl.numerator == "unit"
     left_sign = -1.0 if tbl.branch == "upper" else 1.0
     best = -math.inf
     acc = base
     for i in range(ja, npts - 1):
         term0 = tbl.log_ts_w[i] + acc - tbl.log_absD[i]
         best = max(best, term0)
-        if term0 < best - sc._LOG_CUT and i > ja + 8 and not no_cut:
+        if term0 < best - sc._LOG_CUT and i > ja + 8 and tbl.cut:
             break
         acc = acc - panel(t[i], t[i + 1])
         logw[i + 1] = acc
@@ -263,7 +262,7 @@ def _reference_logw(tbl: sc.ScaleTable) -> np.ndarray:
     for i in range(ja, 0, -1):
         term0 = tbl.log_ts_w[i] + acc - tbl.log_absD[i]
         best = max(best, term0)
-        if term0 < best - sc._LOG_CUT and i < ja - 8 and not no_cut:
+        if term0 < best - sc._LOG_CUT and i < ja - 8 and tbl.cut:
             break
         acc = acc + left_sign * panel(t[i - 1], t[i])
         logw[i - 1] = acc
@@ -271,17 +270,21 @@ def _reference_logw(tbl: sc.ScaleTable) -> np.ndarray:
 
 
 class TestBatchedBuild:
-    """Every fixture table that the warm passage benchmark prebuilds."""
+    """Every fixture table that the warm passage benchmark prebuilds, the
+    end-anchored mean passage tables of m1 and m3, and the uncut mean
+    explosion table of m4."""
 
     def _tables(self, m1, m2, m3, m4, m5):
         tables = [sc._table(spec, q) for spec, qs in
                   ((m1, (0.5, 1.0, 2.0)), (m2, (2.0, 4.0)), (m3, (0.5, 1.0, 2.0)),
                    (m4, (1.0, 2.0)), (m5, (1.0, 2.0))) for q in qs]
-        tables += [sc._table(spec, q, qbar=qbar, theta=md.root_phi_q(spec, q))
+        tables += [sc._table(spec, q, qbar=qbar)
                    for spec, q, qbar in ((m1, 0.5, 0.5), (m1, 1.0, 1.0), (m2, 4.0, 1.0),
                                          (m3, 1.5, 0.5), (m3, 1.0, 1.0))]
         tables += [sc._table(m4, q, branch="upper") for q in (1.0, 2.0)]
-        tables.append(sc._table(m5, 0.0, numerator="imm", theta=md.root_phi_q(m5, 0.0)))
+        tables.append(sc._table(m5, 0.0))
+        tables += [sc._table(spec, 0.0, anchor_end=True) for spec in (m1, m3)]
+        tables.append(sc._table(m4, 1.0, branch="upper", cut=False))
         return tables
 
     def test_logw_matches_sequential_ladder(self, m1, m2, m3, m4, m5):
@@ -326,8 +329,7 @@ class TestMeanPassageTable:
         for x, a in ((1, 0), (2, 1), (8, 7), (24, 23), (24, 0), (40, 3)):
             want = _bd_mean_passage(lam, 0.75, 0.25, mu_up, x, a)
             assert ps.mean_first_passage(spec, x, a) == pytest.approx(want, rel=1e-12)
-        theta = md.root_phi_q(spec, 0.0) if spec.mu > 0.0 else 0.0
-        tbl = sc._table(spec, 0.0, numerator="imm", theta=theta, anchor_end=True)
+        tbl = sc._table(spec, 0.0, anchor_end=True)
         assert tbl.diagnostics.level <= 6
         assert tbl.diagnostics.achieved_error <= sc.DEFAULT_CFG.rel_tol
 
@@ -410,7 +412,7 @@ class TestLevelArrays:
             self._same_as_scalar(lambda x: sc.log_phi_q_qbar_fn(m1, q, qbar, x))
 
     def test_end_anchored_kernel_rows(self, m1):
-        tbl = sc._table(m1, 0.0, numerator="imm", theta=0.0, anchor_end=True)
+        tbl = sc._table(m1, 0.0, anchor_end=True)
         x, a = np.array([5, 30, 30]), np.array([0, 29, 0])
         got = tbl.log_value(a, tbl.log_one_minus_pow(x - a))
         assert np.array_equal(got, [tbl.log_value(int(ai), tbl.log_one_minus_pow(int(xi - ai)))
