@@ -118,10 +118,7 @@ class OffspringLaw:
             out[:n] = self.pmf[:n]
             return out
         out[0] = self.p0
-        if kmax >= 1:
-            out[1] = (1.0 - self.p0) * self.alpha
-            for k in range(1, kmax):
-                out[k + 1] = out[k] * (k - self.alpha) / (k + 1.0)
+        out[1:] = _sibuya_pmf(self.prob1, self.alpha, kmax)
         return out
 
 
@@ -224,12 +221,13 @@ class ImmigrationLaw:
             n = min(kmax, len(self.pmf_up))
             out[:n] = self.pmf_up[:n]
             return self.r_minus1, out
-        out = np.zeros(kmax)
-        if kmax >= 1:
-            out[0] = self.alpha
-            for k in range(1, kmax):
-                out[k] = out[k - 1] * (k - self.alpha) / (k + 1.0)
-        return 0.0, out
+        return 0.0, _sibuya_pmf(self.alpha, self.alpha, kmax)
+
+
+def _sibuya_pmf(p1: float, alpha: float, kmax: int) -> np.ndarray:
+    """Terms k = 1..kmax of the Sibuya(alpha) recursion p_{k+1} = p_k (k - alpha)/(k + 1)."""
+    k = np.arange(1.0, kmax)
+    return np.cumprod(np.r_[p1, (k - alpha) / (k + 1.0)])[:kmax]
 
 
 def _deflate(coeffs: np.ndarray, root: float) -> np.ndarray:

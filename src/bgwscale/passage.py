@@ -208,8 +208,8 @@ def conditioned_generator(spec: md.ModelSpec, q: float, x_max: int,
     lam, mu, r_minus1 = spec.lam, spec.mu, spec.immigration.r_minus1
     p0 = spec.offspring.prob0
     # Upward jumps x -> x+k, k <= kmax, for all rows at once.  A row ends at its first k > 8
-    # with term < _JUMP_TAIL_TOL (kept), first zero weight past k_zero, or k = 100001.
-    k_zero = math.inf if spec.immigration.kind == "sibuya" else max(len(spec.offspring.pmf), 8)
+    # with term < _JUMP_TAIL_TOL (kept), first zero weight past both supports, or k = 100001.
+    k_zero = max(len(spec.offspring.pmf), len(spec.immigration.pmf_up), 8)  # Sibuya: w > 0
     x = np.arange(1, x_max + 1)
     rate = q + mu + lam * x
     kmax = 64
@@ -234,6 +234,8 @@ def conditioned_generator(spec: md.ModelSpec, q: float, x_max: int,
 
 
 _TILT_TAIL_TOL = 1e-12
+#: Most terms a Sibuya law is tilted into; a longer table is refused before it is allocated.
+_TILT_MAX_TERMS = 1 << 17
 
 
 def tilted_model(spec: md.ModelSpec, qbar: float) -> md.ModelSpec:
@@ -242,7 +244,8 @@ def tilted_model(spec: md.ModelSpec, qbar: float) -> md.ModelSpec:
 
     The tilted branching mechanism is never supercritical.  Analytic laws are
     tilted into tabular ones truncated where the remaining tilted mass drops
-    below 1e-12 (the geometric factor makes the tail summable).
+    below 1e-12 (the geometric factor makes the tail summable), and refused
+    past _TILT_MAX_TERMS terms (varphi_qbar too close to 1).
     """
     md.require_valid(spec)
     check_rate(qbar, "qbar")
@@ -251,14 +254,17 @@ def tilted_model(spec: md.ModelSpec, qbar: float) -> md.ModelSpec:
         raise PreconditionError("tilting requires varphi_qbar < 1 "
                                 "(supercritical branching when qbar = 0)")
     off, imm = spec.offspring, spec.immigration
+    cutoff = _tilt_cutoff(v)
+    if cutoff > _TILT_MAX_TERMS and (off.kind == "sibuya_mix" or imm.kind == "sibuya"):
+        raise PreconditionError(f"tilting a Sibuya law needs {cutoff} > {_TILT_MAX_TERMS} terms")
     ptilde_v = off.pgf(v)
-    terms = off.pmf if off.kind == "tabular" else off.pmf_terms(_tilt_cutoff(v))
+    terms = off.pmf if off.kind == "tabular" else off.pmf_terms(cutoff)
     new_off = md.OffspringLaw.tabular({k: p * v**k / ptilde_v
                                        for k, p in enumerate(terms) if p > 0.0})
 
     if spec.has_immigration:
         rtilde_v = imm.pgf(v)
-        terms = imm.pmf_up if imm.kind == "tabular" else imm.pmf_terms(_tilt_cutoff(v))[1]
+        terms = imm.pmf_up if imm.kind == "tabular" else imm.pmf_terms(cutoff)[1]
         rpmf = {k + 1: p * v ** (k + 1) / rtilde_v for k, p in enumerate(terms) if p > 0.0}
         if imm.r_minus1 > 0.0:
             rpmf[-1] = imm.r_minus1 / (v * rtilde_v)

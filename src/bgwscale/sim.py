@@ -9,9 +9,8 @@ Randomness is counter-based: every uniform is a pure hash of
 order-independent, runs are reproducible bit-for-bit regardless of batch
 layout, and two estimators driven by the same seed consume identical paths.
 
-Sibuya jump sizes beyond K = 64 are inverted with scipy's ``gammaln``; scipy
-is imported on the first such draw only, so importing the package (and every
-analytic CLI command) never loads it.
+Sibuya jump sizes beyond K = 64 are inverted through a closed Stirling form of
+the log survival function, so the simulator needs numpy and ``math`` only.
 """
 
 from __future__ import annotations
@@ -98,78 +97,74 @@ _K_CAP = 1 << 40
 
 def _sibuya_tables(alpha: float) -> np.ndarray:
     """F_k = P(K <= k) for k = 0..64 of the Sibuya(alpha) law on {1,2,...}."""
-    surv = np.ones(_SIBUYA_TABLE_LEN + 1)
-    for j in range(1, _SIBUYA_TABLE_LEN + 1):
-        surv[j] = surv[j - 1] * (1.0 - alpha / j)
-    return 1.0 - surv
+    return 1.0 - np.cumprod(np.r_[1.0, 1.0 - alpha / np.arange(1.0, _SIBUYA_TABLE_LEN + 1)])
+
+
+def _stirling_tail(z: np.ndarray) -> np.ndarray:
+    """lgamma(z) - (z - 1/2) log z + z - log(2 pi)/2, four terms, z >= 64 in use."""
+    r = 1.0 / z
+    r2 = r * r
+    return r * (1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 * (1.0 / 1260.0 - r2 / 1680.0)))
 
 
 def _sibuya_log_surv(k: np.ndarray, alpha: float) -> np.ndarray:
-    from scipy.special import gammaln  # deferred: only tail draws need scipy
-
-    return gammaln(k + 1.0 - alpha) - gammaln(k + 1.0) - math.lgamma(1.0 - alpha)
+    """log S_k = lgamma(k+1-alpha) - lgamma(k+1) - lgamma(1-alpha), with the two
+    large lgamma terms cancelled in closed form (Stirling difference)."""
+    b = k + 1.0
+    return ((k + 0.5 - alpha) * np.log1p(-alpha / b) + alpha - alpha * np.log(b)
+            + _stirling_tail(b - alpha) - _stirling_tail(b) - math.lgamma(1.0 - alpha))
 
 
 def _invert_sibuya(u: np.ndarray, alpha: float, cdf_table: np.ndarray) -> np.ndarray:
-    """K = min{k >= 1 : P(K <= k) >= u}; table up to 64, asymptotic inversion
-    refined by exact survival comparisons beyond."""
+    """K = min{k >= 1 : P(K <= k) >= u}; the table up to 64, beyond it one Newton step
+    from S_k ~ k^-alpha / Gamma(1 - alpha), which lands within one of K (seen for alpha
+    in [0.02, 0.999]), then exact survival comparisons until nothing moves."""
     k = np.searchsorted(cdf_table, u, side="left").astype(np.int64)
     tail = k > _SIBUYA_TABLE_LEN
     if np.any(tail):
-        w = 1.0 - u[tail]                    # survival target: min k with S_k < w... (S_k <= w)
-        logw = np.log(w)
-        kf = np.exp(-(logw + math.lgamma(1.0 - alpha)) / alpha)
-        kf = np.minimum(kf, float(_K_CAP))
-        for _ in range(3):                   # Newton in log k: d logS/d logk ~ -alpha
-            resid = _sibuya_log_surv(kf, alpha) - logw
-            kf = np.clip(kf * np.exp(resid / alpha), 65.0, float(_K_CAP))
-        kt = np.ceil(kf).astype(np.int64)
+        logw = np.log(1.0 - u[tail])         # survival target: min k with S_k <= 1 - u
+        kf = np.minimum(np.exp(-(logw + math.lgamma(1.0 - alpha)) / alpha), float(_K_CAP))
+        resid = _sibuya_log_surv(kf, alpha) - logw   # Newton in log k: d logS/d logk ~ -alpha
+        kt = np.ceil(np.clip(kf * np.exp(resid / alpha), 65.0, float(_K_CAP))).astype(np.int64)
         for _ in range(4):                   # exact local adjustment
             too_big = (kt > 65) & (_sibuya_log_surv(kt - 1.0, alpha) <= logw)
             kt = np.where(too_big, kt - 1, kt)
             too_small = (_sibuya_log_surv(kt.astype(float), alpha) > logw) & (kt < _K_CAP)
             kt = np.where(too_small, kt + 1, kt)
+            if not (too_big.any() or too_small.any()):
+                break
         k[tail] = np.maximum(kt, 65)
     return k
 
 
-class _OffspringSampler:
-    def __init__(self, law: md.OffspringLaw):
-        self.law = law
-        if law.kind == "tabular":
-            self.cdf = np.cumsum(np.asarray(law.pmf))
+class _JumpSampler:
+    """Jump sizes of an offspring or immigration law, one uniform per draw.
+
+    A tabular law searches a cdf over its nonzero support whose last entry is
+    +inf, so every u in (0, 1] lands in the support.  A Sibuya law draws the
+    atom p0 at 0 (none for immigration) and inverts the Sibuya(alpha) tail.
+    """
+
+    def __init__(self, law: md.OffspringLaw | md.ImmigrationLaw):
+        self.tabular, self.alpha = law.kind == "tabular", law.alpha
+        if self.tabular:
+            if isinstance(law, md.OffspringLaw):
+                vals, probs = np.arange(len(law.pmf)), np.asarray(law.pmf)
+            else:
+                vals = np.arange(-1, len(law.pmf_up) + 1)
+                probs = np.array((law.r_minus1, 0.0, *law.pmf_up))
+            self.vals = vals[probs > 0.0]
+            cdf = np.cumsum(probs[probs > 0.0])
+            self.cdf = np.r_[cdf[:-1] / cdf[-1], math.inf]
         else:
+            self.p0 = law.p0 if isinstance(law, md.OffspringLaw) else 0.0
             self.table = _sibuya_tables(law.alpha)
 
     def draw(self, u: np.ndarray) -> np.ndarray:
-        if self.law.kind == "tabular":
-            return np.searchsorted(self.cdf, u, side="right").astype(np.int64)
-        zero = u < self.law.p0
-        v = np.clip((u - self.law.p0) / (1.0 - self.law.p0), 1e-300, 1.0 - 1e-16)
-        k = _invert_sibuya(v, self.law.alpha, self.table)
-        return np.where(zero, 0, k)
-
-
-class _ImmigrationSampler:
-    def __init__(self, law: md.ImmigrationLaw):
-        self.law = law
-        if law.kind == "tabular":
-            vals = [-1] if law.r_minus1 > 0.0 else []
-            probs = [law.r_minus1] if law.r_minus1 > 0.0 else []
-            for k, p in enumerate(law.pmf_up, start=1):
-                if p > 0.0:
-                    vals.append(k)
-                    probs.append(p)
-            self.vals = np.asarray(vals, dtype=np.int64)
-            self.cdf = np.cumsum(np.asarray(probs))
-            self.cdf /= self.cdf[-1]
-        elif law.kind == "sibuya":
-            self.table = _sibuya_tables(law.alpha)
-
-    def draw(self, u: np.ndarray) -> np.ndarray:
-        if self.law.kind == "tabular":
+        if self.tabular:
             return self.vals[np.searchsorted(self.cdf, u, side="right")]
-        return _invert_sibuya(u, self.law.alpha, self.table)
+        v = np.clip((u - self.p0) / (1.0 - self.p0), 1e-300, 1.0 - 1e-16)
+        return np.where(u < self.p0, 0, _invert_sibuya(v, self.alpha, self.table))
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +193,8 @@ def _run_batch(spec: md.ModelSpec, x0: int, a: int, cfg: SimConfig,
     x0 = check_level(x0, "x0", low=a)
     n = cfg.n_paths
     lam, mu = spec.lam, spec.mu
-    off = _OffspringSampler(spec.offspring)
-    imm = _ImmigrationSampler(spec.immigration) if spec.has_immigration else None
+    off = _JumpSampler(spec.offspring)
+    imm = _JumpSampler(spec.immigration) if spec.has_immigration else None
 
     res = _BatchResult(
         status=np.zeros(n, dtype=np.int8),
@@ -392,7 +387,7 @@ def simulate_controlled(problem, policy, x0: int, cfg: SimConfig) -> Estimate:
     fl, q = problem.floor, problem.q
     md.require_valid(spec)
     lam = spec.lam
-    off = _OffspringSampler(spec.offspring)
+    off = _JumpSampler(spec.offspring)
 
     kind, par = policy if isinstance(policy, tuple) and len(policy) == 2 else (policy, None)
     if kind not in ("barrier", "topup"):

@@ -140,6 +140,12 @@ class TestPassageCommands:
         assert doc["offspring"]["pmf"]["0"] == pytest.approx(2 / 3, abs=1e-10)
         assert doc["mu"] == pytest.approx(2.0, abs=1e-10)
 
+    def test_tilt_refuses_long_sibuya_truncation(self, runner, model_dir):
+        r = _invoke(runner, ["passage", "tilt", "--model", str(model_dir / "m5.json"),
+                             "--qbar", "1e-14"])
+        assert r.exit_code == 2
+        assert r.stdout == ""
+
     def test_condition(self, runner, model_dir):
         r = _invoke(runner, ["passage", "condition", "--model", str(model_dir / "m1.json"),
                              "--q", "0.5", "--x-max", "3"])

@@ -1,9 +1,9 @@
-"""Import cost and the Sibuya tail sampler that defers scipy, and the
-modules' public names.
+"""Import cost, the Sibuya tail sampler, and the modules' public names.
 
-scipy is only needed to invert Sibuya jump sizes beyond K = 64, so neither
-``import bgwscale`` nor ``import bgwscale.cli`` may load it.  The check runs
-in a fresh interpreter: other test modules import scipy themselves.
+Neither ``import bgwscale``, ``import bgwscale.cli`` nor a Sibuya jump drawn
+beyond the K = 64 table may load scipy: the runtime needs numpy and click
+only.  The check runs in a fresh interpreter, because other test modules
+import scipy themselves as an oracle.
 """
 
 import hashlib
@@ -55,9 +55,17 @@ def test_public_api_snapshot():
     assert names == PUBLIC_API
 
 
-@pytest.mark.parametrize("module", ["bgwscale", "bgwscale.cli"])
-def test_import_loads_no_scipy(module):
-    code = (f"import sys, {module}\n"
+_TAIL_DRAW = ("import numpy as np\n"
+              "k = bgwscale.sim._JumpSampler(bgwscale.model.ImmigrationLaw.sibuya(0.5))"
+              ".draw(np.array([1.0 - 2.0 ** -20]))\n"
+              "assert k[0] > 64, k\n")
+
+
+@pytest.mark.parametrize("module, then", [("bgwscale", ""), ("bgwscale.cli", ""),
+                                          ("bgwscale.sim", _TAIL_DRAW)],
+                         ids=["bgwscale", "bgwscale.cli", "sibuya_tail_draw"])
+def test_import_loads_no_scipy(module, then):
+    code = (f"import sys, {module}\n{then}"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (_SRC, os.environ.get("PYTHONPATH")) if p))
@@ -67,29 +75,31 @@ def test_import_loads_no_scipy(module):
 
 
 # Tail uniforms u = 1 - m 2^-j (exact in binary), all beyond the K = 64 table,
-# and the K the inversion gave for them before scipy's import was deferred.
+# and their K: each equals the exact min{k >= 65 : S_k <= 1 - u} (capped at
+# 2^40), found by bisection on 40-digit log-gamma values.
 _TAIL_J = {0.3: range(6, 14), 0.5: range(7, 20, 2), 0.8: range(10, 35, 3)}
 _TAIL_K = {
-    0.3: [439497, 11286, 2056, 670, 4429852, 113759, 20725, 6752, 44650102, 1146617,
-          208892, 68050, 450044967, 11557175, 2105503, 685903, 4535988719, 116489056,
-          21222143, 6913464, 45713578619, 1174137959, 213905844, 69683346, 459039577683,
-          11836243036, 2156080309, 702365240, 1099511627776, 118976330998, 21736660118,
-          7079229088],
+    0.3: [439497, 11286, 2056, 670, 4429852, 113759, 20725, 6752, 44650110, 1146617,
+          208892, 68050, 450044907, 11557175, 2105503, 685903, 4536168411, 116489019,
+          21222139, 6913464, 45721712531, 1174135736, 213905758, 69683350, 460845984435,
+          11834546632, 2156034933, 702364158, 1099511627776, 119284755335, 21731470370,
+          7079387094],
     0.5: [5215, 580, 209, 107, 83443, 9272, 3338, 1703, 1335089, 148343, 53404, 27247,
-          21361414, 2373491, 854457, 435947, 341782628, 37975844, 13671305, 6975156,
-          5468563624, 607614194, 218740913, 111602480, 87463811706, 9721771295,
-          3499794495, 1785656652],
+          21361415, 2373491, 854457, 435947, 341782638, 37975849, 13671306, 6975156,
+          5468522205, 607613579, 218740888, 111602494, 87496355274, 9721817253,
+          3499854211, 1785639904],
     0.8: [862, 219, 116, 76, 11598, 2938, 1552, 1019, 156040, 39522, 20870, 13705,
           2099408, 531735, 280792, 184385, 28246149, 7154144, 3777868, 2480772,
-          380032963, 96254296, 50828736, 33377143, 5113072268, 1295032464, 683868471,
-          449067834, 68782323615, 17425087517, 9201543473, 6041800744, 930001078744,
-          234420037231, 123675261298, 81297516567],
+          380033367, 96254305, 50828726, 33377145, 5113099135, 1295038396, 683867095,
+          449067539, 68793387728, 17423890311, 9200982218, 6041908540, 925569810136,
+          234426990435, 123793167422, 81289907715],
 }
 # The same for every tail uniform among the first 200 000 slot-2 draws of seed 7:
-# (number of tail draws, sha256 of the K as little-endian int64).
+# (number of tail draws, sha256 of the K as little-endian int64).  Each K was
+# checked once against the same exact bracket S_k <= 1 - u < S_{k-1}.
 _STREAM_K = {
-    0.3: (44285, "289815c614e3dac062e5bd88daf3042d0dc53e803e40f715367d687e2988138d"),
-    0.5: (14140, "4d668abebf9bed0abc58300572364fbcc79fca3959246b3f95b689f34f3a6d55"),
+    0.3: (44285, "92fb3fcb81d2a704ea84822c4315471c4dec6deb6159fbcb5f7d5c83bf6e5baa"),
+    0.5: (14140, "76e6706fc7d97c23a2ca87c0608c2dab7eecc574e1d176e4ecb43d0ac23700ab"),
     0.8: (1579, "7eddeb111fe02664d037f14c3a1de81703271ff5ca1b6c612afc35ac59a45e7a"),
 }
 

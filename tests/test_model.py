@@ -47,6 +47,21 @@ class TestPgf:
         # (1-0.75)^{1/2} = 0.5, so pgf = 0.2 + 0.8*0.5
         assert m4.offspring.pgf(0.75) == pytest.approx(0.6, abs=1e-15)
 
+    @pytest.mark.parametrize("kmax", [0, 1, 2, 1000])
+    def test_sibuya_pmf_terms_match_scalar_recursion(self, m4, m5, kmax):
+        # the recursion p_{k+1} = p_k (k - alpha)/(k + 1) one term at a time; the
+        # vectorized product rounds differently, by < 3e-15 relative up to k = 1000
+        def loop(p1, alpha):
+            out = [p1] if kmax else []
+            for k in range(1, kmax):
+                out.append(out[-1] * (k - alpha) / (k + 1.0))
+            return np.array(out)
+        off, imm = m4.offspring, m5.immigration
+        assert off.pmf_terms(kmax)[0] == off.p0
+        assert off.pmf_terms(kmax)[1:] == pytest.approx(loop((1.0 - 0.2) * 0.5, 0.5), rel=1e-13)
+        assert imm.pmf_terms(kmax)[0] == 0.0
+        assert imm.pmf_terms(kmax)[1] == pytest.approx(loop(0.5, 0.5), rel=1e-13)
+
     def test_immigration_values(self, m2, m3, m5):
         assert m2.immigration.pgf(0.5) == pytest.approx(2.0, abs=1e-14)
         assert m3.immigration.pgf(0.5) == pytest.approx(0.5, abs=1e-15)

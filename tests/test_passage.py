@@ -312,6 +312,16 @@ class TestConditionedGenerator:
         want = (0.75 * 2.0 * x) * (1 / 2) / ((1 + 1 + 2 * x) * (1 / 3))
         assert gen.jumps[1][1] == pytest.approx(want, rel=1e-9)
 
+    def test_rows_keep_immigration_beyond_offspring_support(self):
+        # binary offspring reaches x+1 only; immigration jumps 20, past the old scan end of 8
+        spec = md.make_spec(md.OffspringLaw.tabular({0: 0.6, 2: 0.4}), 1.0,
+                            md.ImmigrationLaw.tabular({20: 1.0}), 0.5)
+        gen = ps.conditioned_generator(spec, 1.0, 4)
+        for x, (rate, row) in enumerate(zip(gen.leave_rates, gen.jumps), start=1):
+            assert x + 20 in row
+            total = sum(row.values()) + (gen.kill_rate / rate if x == 1 else 0.0)
+            assert total == pytest.approx(1.0, abs=1e-12)
+
     def test_q_floor(self, m2):
         with pytest.raises(PreconditionError):
             ps.conditioned_generator(m2, 0.5, 3)  # q below mu*(r~(varphi)-1) = 1
@@ -322,7 +332,7 @@ class TestConditionedGenerator:
 def _generator_rows(spec, q, x_max):
     """Rows of the conditioned generator by scalar loops over levels: each
     row's upward jumps end at the first k > 8 whose term is below 1e-14
-    (that term kept), at the first zero weight past max(len(pmf), 8)
+    (that term kept), at the first zero weight past both supports and 8
     (never with Sibuya immigration), or after k = 100001."""
     lam, mu_eff = spec.lam, spec.mu if spec.has_immigration else 0.0
     p0 = spec.offspring.prob0
@@ -343,7 +353,8 @@ def _generator_rows(spec, q, x_max):
                     row[x + k] = term
                 if term < 1e-14 and k > 8:
                     break
-            elif k > max(len(spec.offspring.pmf), 8) and spec.immigration.kind != "sibuya":
+            elif (k > max(len(spec.offspring.pmf), len(spec.immigration.pmf_up), 8)
+                  and spec.immigration.kind != "sibuya"):
                 break
         rows.append(row)
     return rows
@@ -383,6 +394,12 @@ class TestTiltedModel:
             if spec.has_immigration:
                 imm_total = tilted.immigration.r_minus1 + float(np.sum(tilted.immigration.pmf_up))
                 assert imm_total == pytest.approx(1.0, abs=1e-12)
+
+    def test_sibuya_truncation_is_bounded(self, m5):
+        # the cutoff grows like 1/(1 - varphi_qbar): 24 180 terms at qbar = 1e-6, 3.06e8 at 1e-14
+        assert len(ps.tilted_model(m5, 1e-6).immigration.pmf_up) == 24180
+        with pytest.raises(PreconditionError, match="terms"):
+            ps.tilted_model(m5, 1e-14)
 
     def test_qbar0_needs_supercritical(self, m1):
         with pytest.raises(PreconditionError):

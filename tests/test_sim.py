@@ -18,7 +18,7 @@ def _dev(est, want):
 class TestSamplers:
     def test_m1_frequency(self, m1):
         rng = np.random.default_rng(0)
-        s = sim._OffspringSampler(m1.offspring)
+        s = sim._JumpSampler(m1.offspring)
         draws = s.draw(rng.random(100000))
         p_hat = np.mean(draws == 0)
         sigma = math.sqrt(0.75 * 0.25 / 100000)
@@ -28,11 +28,11 @@ class TestSamplers:
     def test_degenerate(self):
         law = md.OffspringLaw.tabular({0: 1.0})
         rng = np.random.default_rng(1)
-        assert sim._OffspringSampler(law).draw(rng.random(1)).tolist() == [0]
+        assert sim._JumpSampler(law).draw(rng.random(1)).tolist() == [0]
 
     def test_sibuya_mixture_survival(self, m4):
         rng = np.random.default_rng(2)
-        s = sim._OffspringSampler(m4.offspring)
+        s = sim._JumpSampler(m4.offspring)
         draws = s.draw(rng.random(200000))
         n = len(draws)
         for k in (1, 4, 16):
@@ -56,12 +56,21 @@ class TestSamplers:
 
     def test_immigration_sampler(self, m2, m5):
         rng = np.random.default_rng(3)
-        assert sim._ImmigrationSampler(m2.immigration).draw(rng.random(1)).tolist() == [-1]
-        s = sim._ImmigrationSampler(m5.immigration)
+        assert sim._JumpSampler(m2.immigration).draw(rng.random(1)).tolist() == [-1]
+        s = sim._JumpSampler(m5.immigration)
         draws = s.draw(np.random.default_rng(4).random(50000))
         assert np.all(draws >= 1)
         p1 = np.mean(draws == 1)
         assert abs(p1 - 0.5) <= 4 * math.sqrt(0.25 / 50000)
+
+    def test_u_one_stays_in_support(self, m1, m2, m5):
+        # _u01 returns exactly 1.0 once in 2^53 draws: (2^53 - 1) + 0.5 rounds up
+        assert ((2.0 ** 53 - 1.0) + 0.5) * 2.0 ** -53 == 1.0
+        u = np.array([1.0])
+        assert sim._JumpSampler(m1.offspring).draw(u).tolist() == [2]
+        assert sim._JumpSampler(m2.immigration).draw(u).tolist() == [-1]
+        k = sim._JumpSampler(m5.immigration).draw(u)
+        assert 64 < k[0] <= sim._K_CAP
 
 
 class TestSinglePath:
