@@ -10,7 +10,8 @@ or an inclusive range ``lo..hi``: one level prints ``{key: value}``, a range
 ``model``, ``passage atmin|condition|tilt``, ``control bellman|simulate``,
 ``simulate`` and ``verify`` have payloads of their own and are written out.
 
-Success prints one JSON document (or CSV rows) on stdout and exits 0.
+Success prints one JSON document (or CSV rows) on stdout and exits 0; in JSON a
+non-finite float (an infinite standard error, a NaN mean) prints as ``null``.
 ``_Group.main`` alone maps errors to exit codes: regime refusals exit 2 naming
 the violated inequality; usage errors (malformed options or levels, rates or
 levels outside a function's domain) exit 64.  Stdout is byte-stable for fixed
@@ -71,6 +72,17 @@ def _load(path: str) -> md.ModelSpec:
         raise click.UsageError(f"cannot load model {path}: {exc}")
 
 
+def _strict(value):
+    """``value`` with every non-finite float as None: RFC 8259 JSON has no NaN or Infinity."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def _finish(spec: md.ModelSpec, payload: dict, t0: float, out_format: str = "json",
             rows=(), header: tuple[str, ...] = ()) -> None:
     if out_format == "csv":
@@ -78,7 +90,7 @@ def _finish(spec: md.ModelSpec, payload: dict, t0: float, out_format: str = "jso
         for row in rows:
             click.echo(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
     else:
-        click.echo(json.dumps(payload))
+        click.echo(json.dumps(_strict(payload)))
     print(f"# wall_ms={1e3 * (time.perf_counter() - t0):.1f} model={_digest(spec)}",
           file=sys.stderr)
 

@@ -6,8 +6,10 @@ after normalization), and independently, at rate ``mu``, either one individual
 is culled (probability ``r_-1``) or ``k >= 1`` individuals immigrate
 (probability ``r_k``), until the population dies out or explodes.
 
-Two mechanism representations are supported: finite-support tabular pmfs and
-the analytic heavy-tailed families
+Both mechanisms are laws of a jump size read through their generating
+functions, one type with two lowest support points (0 for offspring, -1 for
+immigration).  Two representations are supported: finite-support tabular pmfs
+and the analytic heavy-tailed families
 
 * offspring ``sibuya_mix(p0, alpha)``:   pgf(z) = p0 + (1-p0)*(1-(1-z)**alpha)
 * immigration ``sibuya(alpha)``:         pgf(z) = 1-(1-z)**alpha, no culling
@@ -21,6 +23,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,72 +36,104 @@ CRITICAL_TANGENCY_TOL = 1e-9
 _ROOT_CACHE_MAX = 1024
 
 
-def _as_float_array(pmf: dict[int, float], lo: int) -> tuple[int, np.ndarray]:
-    """Dense coefficient array for a sparse pmf with minimum support point ``lo``."""
+def _as_float_array(pmf: dict[int, float], lo: int) -> np.ndarray:
+    """Dense pmf over k = lo..max(K, 0), K the largest support point: it always
+    covers k = 0, so the polynomial part of the pgf is never empty."""
     if not pmf:
         raise ModelError("empty pmf")
     kmin = min(pmf)
     kmax = max(pmf)
     if kmin < lo:
         raise ModelError(f"support point {kmin} below allowed minimum {lo}")
-    dense = np.zeros(kmax + 1 - lo)
+    dense = np.zeros(max(kmax, 0) + 1 - lo)
     for k, p in pmf.items():
         if not (0.0 <= p <= 1.0):
             raise ModelError(f"probability {p!r} for k={k} outside [0,1]")
         dense[k - lo] = p
-    return lo, dense
+    return dense
 
 
 @dataclass(frozen=True)
-class OffspringLaw:
-    """Number-of-offspring distribution, tabular or sibuya_mix."""
+class _JumpLaw:
+    """Law of a jump size k >= lo, read through its generating function.
 
-    kind: str  # "tabular" | "sibuya_mix"
-    pmf: tuple[float, ...] = ()  # dense over k = 0..K (tabular only)
-    p0: float = 0.0              # sibuya_mix parameters
+    Either tabular, a dense pmf over k = lo..K, or the Sibuya mixture with
+    pgf p0 + (1-p0)*(1-(1-v)**alpha): an atom p0 at 0 and Sibuya(alpha) on
+    k >= 1.  A law with alpha > 0 is a Sibuya mixture.
+    """
+
+    lo: ClassVar[int] = 0
+    kind: str
+    pmf: tuple[float, ...] = ()  # dense over k = lo..K (tabular only)
+    p0: float = 0.0              # Sibuya mixture parameters
     alpha: float = 0.0
 
-    @staticmethod
-    def tabular(pmf: dict[int, float]) -> "OffspringLaw":
-        lo, dense = _as_float_array(pmf, 0)
-        return OffspringLaw(kind="tabular", pmf=tuple(dense))
+    @classmethod
+    def tabular(cls, pmf: dict[int, float]):
+        return cls(kind="tabular", pmf=tuple(_as_float_array(pmf, cls.lo)))
 
-    @staticmethod
-    def sibuya_mix(p0: float, alpha: float) -> "OffspringLaw":
+    def _array(self, v) -> np.ndarray:
+        if self.kind == "none":
+            raise NoImmigrationError("model has no immigration/culling mechanism")
+        return np.asarray(v, dtype=float)
+
+    def pgf(self, v):
+        """sum_k pi_k v^k for v in (0,1]; with lo = -1 this includes the term pi_-1 / v."""
+        v = self._array(v)
+        if np.any(v <= 0.0) or np.any(v > 1.0):
+            raise DomainError("pgf argument must lie in (0,1]")
+        if self.alpha:
+            out = self.p0 + (1.0 - self.p0) * (1.0 - (1.0 - v) ** self.alpha)
+        else:
+            out = np.polynomial.polynomial.polyval(v, np.asarray(self.pmf[-self.lo:]))
+            if self.lo:
+                out = self.pmf[0] / v + out
+        return float(out) if out.ndim == 0 else out
+
+    def pgf_prime(self, v):
+        """d/dv of :meth:`pgf`."""
+        v = self._array(v)
+        if self.alpha:
+            out = (1.0 - self.p0) * self.alpha * (1.0 - v) ** (self.alpha - 1.0)
+        else:
+            c = np.asarray(self.pmf[-self.lo:])
+            dc = c[1:] * np.arange(1, len(c))
+            out = np.polynomial.polynomial.polyval(v, dc) if len(dc) else np.zeros_like(v)
+            if self.lo:
+                out = -self.pmf[0] / v**2 + out
+        return float(out) if out.ndim == 0 else out
+
+    def mean(self) -> float:
+        """Mean jump sum_k k pi_k (the pgf's slope at 1-); inf for a Sibuya mixture."""
+        if self.alpha:
+            return math.inf
+        up = sum(k * p for k, p in enumerate(self.pmf[1 - self.lo:], start=1))
+        return float(up - sum(self.pmf[:-self.lo]))  # k = -1 contributes -pi_-1
+
+    def pmf_terms(self, kmax: int) -> np.ndarray:
+        """pi_k for k = lo..kmax (exact for tabular, recursion for a Sibuya mixture)."""
+        out = np.zeros(kmax + 1 - self.lo)
+        if self.alpha:  # the Sibuya recursion p_{k+1} = p_k (k - alpha)/(k + 1) from p_1
+            k = np.arange(1.0, kmax)
+            p1 = (1.0 - self.p0) * self.alpha
+            out[-self.lo] = self.p0
+            out[1 - self.lo:] = np.cumprod(np.r_[p1, (k - self.alpha) / (k + 1.0)])[:kmax]
+        else:
+            n = min(len(out), len(self.pmf))
+            out[:n] = self.pmf[:n]
+        return out
+
+
+class OffspringLaw(_JumpLaw):
+    """Number-of-offspring distribution over {0, 1, ...}: "tabular" or "sibuya_mix"."""
+
+    @classmethod
+    def sibuya_mix(cls, p0: float, alpha: float) -> "OffspringLaw":
         if not (0.0 < p0 < 1.0):
             raise ModelError("sibuya_mix requires p0 in (0,1)")
         if not (0.0 < alpha < 1.0):
             raise ModelError("sibuya_mix requires alpha in (0,1)")
-        return OffspringLaw(kind="sibuya_mix", p0=p0, alpha=alpha)
-
-    # -- generating function ------------------------------------------------
-
-    def pgf(self, v):
-        """p~(v) = sum_k p_k v^k for v in (0,1]."""
-        v = np.asarray(v, dtype=float)
-        if np.any(v <= 0.0) or np.any(v > 1.0):
-            raise DomainError("pgf argument must lie in (0,1]")
-        if self.kind == "tabular":
-            out = np.polynomial.polynomial.polyval(v, np.asarray(self.pmf))
-        else:
-            out = self.p0 + (1.0 - self.p0) * (1.0 - (1.0 - v) ** self.alpha)
-        return float(out) if out.ndim == 0 else out
-
-    def pgf_prime(self, v):
-        v = np.asarray(v, dtype=float)
-        if self.kind == "tabular":
-            c = np.asarray(self.pmf)
-            dc = c[1:] * np.arange(1, len(c))
-            out = np.polynomial.polynomial.polyval(v, dc) if len(dc) else np.zeros_like(v)
-        else:
-            out = (1.0 - self.p0) * self.alpha * (1.0 - v) ** (self.alpha - 1.0)
-        return float(out) if out.ndim == 0 else out
-
-    def mean(self) -> float:
-        """p~'(1-); inf for the heavy-tailed analytic family."""
-        if self.kind == "tabular":
-            return float(sum(k * p for k, p in enumerate(self.pmf)))
-        return math.inf
+        return cls(kind="sibuya_mix", p0=p0, alpha=alpha)
 
     @property
     def prob0(self) -> float:
@@ -110,80 +145,37 @@ class OffspringLaw:
             return self.pmf[1] if len(self.pmf) > 1 else 0.0
         return (1.0 - self.p0) * self.alpha
 
-    def pmf_terms(self, kmax: int) -> np.ndarray:
-        """p_k for k = 0..kmax (exact for tabular, recursion for sibuya_mix)."""
-        out = np.zeros(kmax + 1)
-        if self.kind == "tabular":
-            n = min(kmax + 1, len(self.pmf))
-            out[:n] = self.pmf[:n]
-            return out
-        out[0] = self.p0
-        out[1:] = _sibuya_pmf(self.prob1, self.alpha, kmax)
-        return out
 
+class ImmigrationLaw(_JumpLaw):
+    """Immigration/culling distribution over {-1} u {1,2,...}: "none", "tabular" or
+    "sibuya" (the Sibuya mixture with p0 = 0, no culling); r_0 = 0 by convention."""
 
-@dataclass(frozen=True)
-class ImmigrationLaw:
-    """Immigration/culling distribution over {-1} u {1,2,...}; r_0 = 0 by convention."""
+    lo = -1
 
-    kind: str  # "none" | "tabular" | "sibuya"
-    r_minus1: float = 0.0
-    pmf_up: tuple[float, ...] = ()  # dense over k = 1..K (tabular only)
-    alpha: float = 0.0
+    @classmethod
+    def none(cls) -> "ImmigrationLaw":
+        return cls(kind="none")
 
-    @staticmethod
-    def none() -> "ImmigrationLaw":
-        return ImmigrationLaw(kind="none")
-
-    @staticmethod
-    def tabular(pmf: dict[int, float]) -> "ImmigrationLaw":
-        if 0 in pmf and pmf[0] != 0.0:
+    @classmethod
+    def tabular(cls, pmf: dict[int, float]) -> "ImmigrationLaw":
+        if pmf.get(0, 0.0) != 0.0:
             raise ModelError("r_0 must be 0")
-        _, dense = _as_float_array(pmf, -1)  # dense over k = -1..K
-        return ImmigrationLaw(kind="tabular", r_minus1=float(dense[0]), pmf_up=tuple(dense[2:]))
+        return super().tabular(pmf)
 
-    @staticmethod
-    def sibuya(alpha: float) -> "ImmigrationLaw":
+    @classmethod
+    def sibuya(cls, alpha: float) -> "ImmigrationLaw":
         if not (0.0 < alpha < 1.0):
             raise ModelError("sibuya requires alpha in (0,1)")
-        return ImmigrationLaw(kind="sibuya", alpha=alpha)
+        return cls(kind="sibuya", alpha=alpha)
 
-    # -- generating function ------------------------------------------------
+    @property
+    def r_minus1(self) -> float:
+        return float(self.pmf[0]) if self.pmf else 0.0
 
-    def pgf(self, v):
-        """r~(v) = sum_{k>=-1} r_k v^k, including the culling term r_-1 / v."""
-        if self.kind == "none":
-            raise NoImmigrationError("model has no immigration/culling mechanism")
-        v = np.asarray(v, dtype=float)
-        if np.any(v <= 0.0) or np.any(v > 1.0):
-            raise DomainError("pgf argument must lie in (0,1]")
-        if self.kind == "tabular":
-            up = np.polynomial.polynomial.polyval(v, np.concatenate(([0.0], self.pmf_up)))
-            out = self.r_minus1 / v + up
-        else:
-            out = 1.0 - (1.0 - v) ** self.alpha
-        return float(out) if out.ndim == 0 else out
-
-    def pgf_prime(self, v):
-        if self.kind == "none":
-            raise NoImmigrationError("model has no immigration/culling mechanism")
-        v = np.asarray(v, dtype=float)
-        if self.kind == "tabular":
-            c = np.concatenate(([0.0], self.pmf_up))
-            dc = c[1:] * np.arange(1, len(c))
-            up = np.polynomial.polynomial.polyval(v, dc) if len(dc) else np.zeros_like(v)
-            out = -self.r_minus1 / v**2 + up
-        else:
-            out = self.alpha * (1.0 - v) ** (self.alpha - 1.0)
-        return float(out) if out.ndim == 0 else out
-
-    def drift_at_one(self) -> float:
-        """r~'(1-) = sum k r_k - r_-1; inf for sibuya."""
-        if self.kind == "none":
-            return 0.0
-        if self.kind == "tabular":
-            return float(sum((k + 1) * p for k, p in enumerate(self.pmf_up)) - self.r_minus1)
-        return math.inf
+    @property
+    def pmf_up(self) -> tuple[float, ...]:
+        """r_k for k = 1..K (tabular only)."""
+        return self.pmf[2:]
 
     def one_minus_pgf(self, v, d_one=None):
         """1 - r~(v), evaluated without cancellation near v = 1.
@@ -192,11 +184,9 @@ class ImmigrationLaw:
         v*(1-r~(v)) so the value stays accurate when d_one underflows the
         working precision of 1 - v.
         """
-        if self.kind == "none":
-            raise NoImmigrationError("model has no immigration/culling mechanism")
-        v = np.asarray(v, dtype=float)
+        v = self._array(v)
         d_one = 1.0 - v if d_one is None else np.asarray(d_one, dtype=float)
-        if self.kind == "sibuya":
+        if self.alpha:
             out = d_one**self.alpha
         else:
             # v*(1-r~(v)) = v - r_-1 - sum_k r_k v^{k+1} has a root at v=1.
@@ -205,29 +195,9 @@ class ImmigrationLaw:
 
     def _deflated_sv(self) -> np.ndarray:
         # s(v) = v - r_-1 - sum_{k>=1} r_k v^{k+1} = (v-1) T(v); return T's coefficients.
-        coeffs = np.zeros(len(self.pmf_up) + 2)
-        coeffs[0] = -self.r_minus1
+        coeffs = 0.0 - np.asarray(self.pmf, dtype=float)
         coeffs[1] = 1.0
-        for k, p in enumerate(self.pmf_up, start=1):
-            coeffs[k + 1] -= p
         return _deflate(coeffs, 1.0)
-
-    def pmf_terms(self, kmax: int) -> tuple[float, np.ndarray]:
-        """(r_-1, array of r_k for k = 1..kmax)."""
-        if self.kind == "none":
-            return 0.0, np.zeros(kmax)
-        if self.kind == "tabular":
-            out = np.zeros(kmax)
-            n = min(kmax, len(self.pmf_up))
-            out[:n] = self.pmf_up[:n]
-            return self.r_minus1, out
-        return 0.0, _sibuya_pmf(self.alpha, self.alpha, kmax)
-
-
-def _sibuya_pmf(p1: float, alpha: float, kmax: int) -> np.ndarray:
-    """Terms k = 1..kmax of the Sibuya(alpha) recursion p_{k+1} = p_k (k - alpha)/(k + 1)."""
-    k = np.arange(1.0, kmax)
-    return np.cumprod(np.r_[p1, (k - alpha) / (k + 1.0)])[:kmax]
 
 
 def _deflate(coeffs: np.ndarray, root: float) -> np.ndarray:
@@ -390,7 +360,7 @@ def root_phi_q(spec: ModelSpec, q: float) -> float:
         return 0.0
     imm, mu = spec.immigration, spec.mu
     if q == 0.0:
-        if imm.drift_at_one() <= 0.0:
+        if imm.mean() <= 0.0:
             return 1.0
         f = lambda z: imm.pgf(z) - 1.0
     else:

@@ -217,7 +217,7 @@ def conditioned_generator(spec: md.ModelSpec, q: float, x_max: int,
         k = np.arange(1, kmax + 1)
         logs = sc.log_phi_fn(spec, q, np.arange(x_max + kmax + 1), cfg)
         pk = spec.offspring.pmf_terms(kmax + 1)
-        w = np.multiply.outer(x, pk[2:] * lam) + mu * spec.immigration.pmf_terms(kmax)[1]
+        w = np.multiply.outer(x, pk[2:] * lam) + mu * spec.immigration.pmf_terms(kmax)[2:]
         with np.errstate(invalid="ignore", over="ignore"):
             term = w * np.exp(logs[x[:, None] + k] - logs[x, None]) / rate[:, None]
         stop = np.where(w > 0.0, (term < _JUMP_TAIL_TOL) & (k > 8), k > k_zero) | (k > 100000)
@@ -264,8 +264,8 @@ def tilted_model(spec: md.ModelSpec, qbar: float) -> md.ModelSpec:
 
     if spec.has_immigration:
         rtilde_v = imm.pgf(v)
-        terms = imm.pmf_up if imm.kind == "tabular" else imm.pmf_terms(cutoff)[1]
-        rpmf = {k + 1: p * v ** (k + 1) / rtilde_v for k, p in enumerate(terms) if p > 0.0}
+        terms = imm.pmf if imm.kind == "tabular" else imm.pmf_terms(cutoff)
+        rpmf = {k: p * v**k / rtilde_v for k, p in enumerate(terms[2:], start=1) if p > 0.0}
         if imm.r_minus1 > 0.0:
             rpmf[-1] = imm.r_minus1 / (v * rtilde_v)
         new_imm = md.ImmigrationLaw.tabular(rpmf)

@@ -369,7 +369,7 @@ def _phi0_exponent(spec: md.ModelSpec) -> float:
     if spec.immigration.kind == "sibuya":
         return math.inf
     curvature = sum(k * (k - 1) * p for k, p in enumerate(off.pmf))
-    return 2.0 * spec.mu * spec.immigration.drift_at_one() / (spec.lam * curvature) - 1.0
+    return 2.0 * spec.mu * spec.immigration.mean() / (spec.lam * curvature) - 1.0
 
 
 def _phi0_uses_integral(spec: md.ModelSpec) -> bool:

@@ -123,9 +123,10 @@ def _invert_sibuya(u: np.ndarray, alpha: float, cdf_table: np.ndarray) -> np.nda
     tail = k > _SIBUYA_TABLE_LEN
     if np.any(tail):
         logw = np.log(1.0 - u[tail])         # survival target: min k with S_k <= 1 - u
-        kf = np.minimum(np.exp(-(logw + math.lgamma(1.0 - alpha)) / alpha), float(_K_CAP))
-        resid = _sibuya_log_surv(kf, alpha) - logw   # Newton in log k: d logS/d logk ~ -alpha
-        kt = np.ceil(np.clip(kf * np.exp(resid / alpha), 65.0, float(_K_CAP))).astype(np.int64)
+        with np.errstate(over="ignore"):     # small alpha: an inf start is capped like any k
+            kf = np.minimum(np.exp(-(logw + math.lgamma(1.0 - alpha)) / alpha), float(_K_CAP))
+            resid = _sibuya_log_surv(kf, alpha) - logw   # Newton in log k: d logS/d logk ~ -alpha
+            kt = np.ceil(np.clip(kf * np.exp(resid / alpha), 65.0, float(_K_CAP))).astype(np.int64)
         for _ in range(4):                   # exact local adjustment
             too_big = (kt > 65) & (_sibuya_log_surv(kt - 1.0, alpha) <= logw)
             kt = np.where(too_big, kt - 1, kt)
@@ -148,16 +149,12 @@ class _JumpSampler:
     def __init__(self, law: md.OffspringLaw | md.ImmigrationLaw):
         self.tabular, self.alpha = law.kind == "tabular", law.alpha
         if self.tabular:
-            if isinstance(law, md.OffspringLaw):
-                vals, probs = np.arange(len(law.pmf)), np.asarray(law.pmf)
-            else:
-                vals = np.arange(-1, len(law.pmf_up) + 1)
-                probs = np.array((law.r_minus1, 0.0, *law.pmf_up))
-            self.vals = vals[probs > 0.0]
+            probs = np.asarray(law.pmf)
+            self.vals = np.arange(law.lo, law.lo + len(probs))[probs > 0.0]
             cdf = np.cumsum(probs[probs > 0.0])
             self.cdf = np.r_[cdf[:-1] / cdf[-1], math.inf]
         else:
-            self.p0 = law.p0 if isinstance(law, md.OffspringLaw) else 0.0
+            self.p0 = law.p0
             self.table = _sibuya_tables(law.alpha)
 
     def draw(self, u: np.ndarray) -> np.ndarray:
@@ -360,6 +357,8 @@ def estimate_explosion(spec: md.ModelSpec, q: float, x: int, a: int,
 
 def estimate_explosion_time(spec: md.ModelSpec, x: int, cfg: SimConfig) -> Estimate:
     """MC estimate of P_x[zeta; zeta < inf] (threshold-crossing proxy for zeta)."""
+    if not md.is_explosive(spec):
+        raise PreconditionError("estimate_explosion_time requires an explosive chain")
     res = _run_batch(spec, x, 0, cfg)
     crossed = res.status == THRESHOLD
     w = np.where(crossed, res.time, 0.0)

@@ -233,6 +233,26 @@ class TestSimulateCommand:
         assert abs(doc["mean"] - 0.5) <= 4 * doc["se"]
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+class TestStrictJson:
+    """Stdout parses under RFC 8259: a non-finite float prints as null."""
+
+    @pytest.mark.parametrize("args, key", [
+        (["simulate", "--model", "M1", "--x", "1", "--paths", "1"], "se"),
+        (["simulate", "--model", "M1", "--kind", "mean", "--x", "3", "--paths", "5",
+          "--max-jumps", "1"], "mean"),
+        (["control", "simulate", "--model", "M1", "--q", "0.5", "--x", "1", "--paths", "1"], "se"),
+    ], ids=["se-inf", "mean-nan", "control-se-inf"])
+    def test_non_finite_prints_null(self, runner, model_dir, args, key):
+        r = _invoke(runner, [str(model_dir / "m1.json") if a == "M1" else a for a in args])
+        assert r.exit_code == 0
+        doc = json.loads(r.stdout, parse_constant=_reject_constant)
+        assert doc[key] is None
+
+
 class TestVerifyCommand:
     def test_analytic_m1(self, runner, model_dir):
         r = _invoke(runner, ["verify", "--model", str(model_dir / "m1.json"),

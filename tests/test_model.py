@@ -60,7 +60,30 @@ class TestPgf:
         assert off.pmf_terms(kmax)[0] == off.p0
         assert off.pmf_terms(kmax)[1:] == pytest.approx(loop((1.0 - 0.2) * 0.5, 0.5), rel=1e-13)
         assert imm.pmf_terms(kmax)[0] == 0.0
-        assert imm.pmf_terms(kmax)[1] == pytest.approx(loop(0.5, 0.5), rel=1e-13)
+        assert imm.pmf_terms(kmax)[2:] == pytest.approx(loop(0.5, 0.5), rel=1e-13)
+
+    @pytest.mark.parametrize("law, pmf", [
+        (BINARY, {0: 0.75, 2: 0.25}),
+        (md.OffspringLaw.tabular({0: 0.5, 1: 0.2, 4: 0.3}), {0: 0.5, 1: 0.2, 4: 0.3}),
+        (md.ImmigrationLaw.tabular({-1: 1.0}), {-1: 1.0}),  # m2: culling only, no k >= 0 term
+        (md.ImmigrationLaw.tabular({-1: 0.7, 3: 0.3}), {-1: 0.7, 3: 0.3}),
+        (md.ImmigrationLaw.none(), {}),
+    ], ids=["binary", "offspring-p1", "culling-only", "culling-batch", "none"])
+    def test_tabular_laws_match_hand_sums(self, law, pmf):
+        for kmax in (0, 2, 6):
+            want = [pmf.get(k, 0.0) for k in range(law.lo, kmax + 1)]
+            assert law.pmf_terms(kmax).tolist() == want
+        assert law.mean() == pytest.approx(sum(k * p for k, p in pmf.items()), rel=1e-15)
+        for v in (0.3, 0.8, 1.0):
+            if law.kind == "none":
+                with pytest.raises(NoImmigrationError):
+                    law.pgf(v)
+                with pytest.raises(NoImmigrationError):
+                    law.pgf_prime(v)
+                continue
+            assert law.pgf(v) == pytest.approx(sum(p * v**k for k, p in pmf.items()), rel=1e-15)
+            assert law.pgf_prime(v) == pytest.approx(
+                sum(k * p * v ** (k - 1) for k, p in pmf.items()), rel=1e-15)
 
     def test_immigration_values(self, m2, m3, m5):
         assert m2.immigration.pgf(0.5) == pytest.approx(2.0, abs=1e-14)

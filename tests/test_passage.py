@@ -339,7 +339,7 @@ def _generator_rows(spec, q, x_max):
     r_minus1 = spec.immigration.r_minus1 if spec.immigration.kind == "tabular" else 0.0
     log_phi = lambda y: sc.log_phi_fn(spec, q, y)
     pk = spec.offspring.pmf_terms(1 << 12)
-    rk = spec.immigration.pmf_terms(1 << 12)[1]
+    rk = spec.immigration.pmf_terms(1 << 12)[2:]
     rows = []
     for x in range(1, x_max + 1):
         rate = q + mu_eff + lam * x

@@ -54,6 +54,13 @@ class TestSamplers:
             assert sim._sibuya_log_surv(np.array([float(k)]), alpha)[0] <= logw
             assert sim._sibuya_log_surv(np.array([float(k - 1)]), alpha)[0] > logw
 
+    @pytest.mark.parametrize("alpha, e", [(0.01, 20), (0.05, 53)])
+    def test_deep_tail_capped_without_overflow(self, alpha, e):
+        # the asymptotic start overflows to inf at 1 - u = 2^-e; the cap must take it silently
+        law = md.ImmigrationLaw.sibuya(alpha)
+        u = np.array([1.0 - 2.0 ** -e])
+        assert sim._JumpSampler(law).draw(u).tolist() == [sim._K_CAP]
+
     def test_immigration_sampler(self, m2, m5):
         rng = np.random.default_rng(3)
         assert sim._JumpSampler(m2.immigration).draw(rng.random(1)).tolist() == [-1]
@@ -165,6 +172,16 @@ class TestEstimators:
         assert _dev(est0, 0.64) <= 3.0
         estt = sim.estimate_explosion_time(m4, 1, cfg)
         assert _dev(estt, 1.92) <= 3.0
+
+    @pytest.mark.parametrize("estimate", [
+        lambda spec, cfg: sim.estimate_explosion(spec, 0.0, 1, 0, cfg),
+        lambda spec, cfg: sim.estimate_explosion_time(spec, 1, cfg),
+    ], ids=["explosion", "explosion_time"])
+    def test_explosion_estimates_refuse_non_explosive(self, m1, estimate):
+        # P_x[zeta; zeta < inf] = 0 on m1, yet threshold crossings gave 0.0416 +- 0.010
+        cfg = SimConfig(seed=1, n_paths=2000, explosion_threshold=5)
+        with pytest.raises(PreconditionError, match="explosive"):
+            estimate(m1, cfg)
 
     def test_clock_vs_weighting_equivalence(self, m1):
         # P(T <= e_q) by explicit clock vs E[e^{-qT}] weighting agree within 3 sigma
