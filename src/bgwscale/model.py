@@ -37,20 +37,19 @@ _ROOT_CACHE_MAX = 1024
 
 
 def _as_float_array(pmf: dict[int, float], lo: int) -> np.ndarray:
-    """Dense pmf over k = lo..max(K, 0), K the largest support point: it always
-    covers k = 0, so the polynomial part of the pgf is never empty."""
+    """Dense pmf over k = lo..max(K, 0), K the largest k with p_k > 0, so one law
+    has one array; it covers k = 0, so the pgf's polynomial part is never empty."""
     if not pmf:
         raise ModelError("empty pmf")
     kmin = min(pmf)
-    kmax = max(pmf)
     if kmin < lo:
         raise ModelError(f"support point {kmin} below allowed minimum {lo}")
-    dense = np.zeros(max(kmax, 0) + 1 - lo)
+    dense = np.zeros(max(max(pmf), 0) + 1 - lo)
     for k, p in pmf.items():
         if not (0.0 <= p <= 1.0):
             raise ModelError(f"probability {p!r} for k={k} outside [0,1]")
         dense[k - lo] = p
-    return dense
+    return dense[:max(len(np.trim_zeros(dense, "b")), 1 - lo)]
 
 
 @dataclass(frozen=True)
@@ -256,7 +255,7 @@ def _remove_p1(law: OffspringLaw, lam: float) -> tuple[OffspringLaw, float]:
     keep = np.asarray(law.pmf, dtype=float).copy()
     keep[1] = 0.0
     keep /= 1.0 - p1
-    return OffspringLaw(kind="tabular", pmf=tuple(keep)), lam * (1.0 - p1)
+    return OffspringLaw(kind="tabular", pmf=tuple(np.trim_zeros(keep, "b"))), lam * (1.0 - p1)
 
 
 def validate(spec: ModelSpec) -> list[str]:

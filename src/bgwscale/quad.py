@@ -14,8 +14,8 @@ Gauss-Kronrod panels resolve.  Endpoint distances are carried exactly through
 every evaluation; recomputing 1-v or varphi-v from the double v would lose all
 relative accuracy exactly where the integrand mass concentrates.
 
-This module holds only the chart (``TSMap``) and the blocked and adaptive
-G7/K15 rules (``gk_panels``, ``gk_adaptive``); it knows nothing of the model.
+This module holds only the chart (``TSMap``) and the model-free G7/K15 rules on
+arrays of panels: one step (``gk_panels``) or one step per depth (``gk_adaptive``).
 ``scale.ScaleTable`` owns the t-space gamma integrand (``ScaleTable.gamma_t``)
 and stores log omega = -int gamma on every node as ``ScaleTable.logw``.
 """
@@ -103,41 +103,37 @@ def gk_panels(g: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndar
     return k, err, ~ok
 
 
-#: G7/K15 steps one gk_adaptive call may take before it refuses.  A smooth
-#: integrand needs a few dozen; one whose values are noisy at the panel scale
-#: would otherwise subdivide until panels are ~1e-17 wide.
+#: G7/K15 steps gk_adaptive may take on one panel before it refuses.  A
+#: smooth integrand needs a few dozen; one whose values are noisy at the
+#: panel scale would otherwise subdivide until panels are ~1e-17 wide.
 MAX_PANELS = 1000
 
 
-def gk_adaptive(g: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                abs_tol: float, rel_tol: float) -> tuple[float, float]:
-    """Adaptive G7/K15 of a vectorized integrand over [a, b].
-
-    Raises QuadratureError once MAX_PANELS steps leave panels unresolved.
-    """
-    if a == b:
-        return 0.0, 0.0
-    sign, a, b = (1.0, a, b) if a < b else (-1.0, b, a)
-    stack = [(a, b, abs_tol)]
-    total = total_err = 0.0
-    for _ in range(MAX_PANELS):
-        if not stack:
-            break
-        lo, hi, tol = stack.pop()
-        k, err, fail = gk_panels(g, np.array([lo]), np.array([hi]), tol, rel_tol)
-        if fail[0]:
-            mid = 0.5 * (lo + hi)
-            stack.append((lo, mid, 0.5 * tol))
-            stack.append((mid, hi, 0.5 * tol))
-        else:
-            total += float(k[0])
-            total_err += float(err[0])
-    if stack:
-        lo, hi, _ = np.array(stack).T
-        k, err, _ = gk_panels(g, lo, hi, abs_tol, rel_tol)
-        raise QuadratureError("adaptive Gauss-Kronrod left panels unresolved after "
-                              f"{MAX_PANELS} steps", sign * (total + float(np.sum(k))),
-                              total_err + float(np.sum(err)))
+def gk_adaptive(g: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
+                abs_tol: float, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Adaptive G7/K15 of a vectorized integrand on every oriented panel [lo_i, hi_i]
+    (values and error estimates): each depth halves every failing sub-panel, at
+    half the absolute tolerance, in one gk_panels call.  Raises QuadratureError
+    (estimate: the signed sum) once a panel would take more than MAX_PANELS steps."""
+    lo, hi = np.atleast_1d(lo, hi)
+    n, sign = lo.size, np.where(hi < lo, -1.0, 1.0)
+    total, total_err, steps = np.zeros(n), np.zeros(n), np.zeros(n)
+    owner = np.flatnonzero(lo != hi)  # the panel each live sub-panel belongs to
+    a, b = np.fmin(lo, hi)[owner], np.fmax(lo, hi)[owner]
+    while owner.size:
+        steps += np.bincount(owner, minlength=n)
+        k, err, fail = gk_panels(g, a, b, abs_tol, rel_tol)
+        total += np.bincount(owner, np.where(fail, 0.0, k), n)
+        total_err += np.bincount(owner, np.where(fail, 0.0, err), n)
+        owner, a, b = owner[fail], a[fail], b[fail]
+        if np.any(steps[owner] + 2 * np.bincount(owner)[owner] > MAX_PANELS):
+            total += np.bincount(owner, k[fail], n)
+            raise QuadratureError("adaptive Gauss-Kronrod left panels unresolved after "
+                                  f"{MAX_PANELS} steps", float(np.sum(sign * total)),
+                                  float(np.sum(total_err) + np.sum(err[fail])))
+        mid = 0.5 * (a + b)
+        owner, (a, b) = np.repeat(owner, 2), np.column_stack((a, mid, mid, b)).reshape(-1, 2).T
+        abs_tol *= 0.5
     return sign * total, total_err
 
 

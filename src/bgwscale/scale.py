@@ -14,7 +14,9 @@ explosion weight is q = 1 on an uncut upper table.  A table is the tanh-sinh nod
 ladder of I at step 2^-level, the inner integral telescoped from an anchor
 node by one blocked G7/K15 pass over all panels, each side cut once its terms
 fall _LOG_CUT below the running peak, failing panels inside the cut refined
-adaptively; levels refine until probes settle, by level 9 or QuadratureError.
+by one adaptive call.  Level 6 is built first and certified on its own even
+nodes, the step-2h ladder: it is served once both give the same probes, else
+the next level is built, up to level 9 or QuadratureError.
 Tables hold logs only, and ``ScaleTable.log_value`` is their one evaluator:
 m + log sum exp(lt - m) over the node terms lt, with an optional log kernel
 added on every node.  It takes one level or a 1-D integer array of levels,
@@ -56,8 +58,8 @@ _BLOCK = 1 << 13
 
 @dataclass
 class KernelDiagnostics:
-    level: int = 0
-    achieved_error: float = 0.0
+    level: int = 0               # the served level
+    achieved_error: float = 0.0  # its probe gap, step h vs step 2h on its own nodes
     n_nodes: int = 0
 
 
@@ -85,21 +87,20 @@ class ScaleTable:
     # -- construction --------------------------------------------------------
 
     def _refine(self) -> None:
-        prev = None
-        for level in range(5, 10):
+        # t = i*h with n even: the even nodes, weighted by 2h, are the step-2h ladder
+        x, a = _PROBE_PASSAGES
+        for level in range(6, 10):
             self._build_level(level)
-            x, a = _PROBE_PASSAGES
-            probes = np.exp(self.log_value(a, self.log_one_minus_pow(x - a)) if self.anchor_end
-                            else self.log_value(_PROBE_XS))
-            if prev is not None:
-                scale = np.maximum(np.abs(probes), 1e-300)
-                err = float(np.max(np.abs(probes - prev) / scale))
-                self.diagnostics.achieved_error = err
-                if err <= self.cfg.rel_tol:
-                    self.diagnostics.level = level
-                    return
-            prev = probes
-        raise QuadratureError(f"table did not converge by level {level}", float(probes[0]), err)
+            coarse = self.logw - self.log_absD + math.log(2.0)
+            coarse[1::2] = -math.inf
+            fine, rough = (np.exp(self.log_value(a, self.log_one_minus_pow(x - a), w)
+                                  if self.anchor_end else self.log_value(_PROBE_XS, weight=w))
+                           for w in (None, coarse))
+            err = float(np.max(np.abs(fine - rough) / np.maximum(np.abs(fine), 1e-300)))
+            self.diagnostics.level, self.diagnostics.achieved_error = level, err
+            if err <= self.cfg.rel_tol:
+                return
+        raise QuadratureError(f"table did not converge by level {level}", float(fine[0]), err)
 
     def _build_level(self, level: int) -> None:
         h = 2.0 ** -level
@@ -126,7 +127,7 @@ class ScaleTable:
             if self.theta > 0.0:
                 t_theta = self.chart.t_of(self.theta)
                 ja = int(np.argmin(np.abs(pts.t - t_theta)))
-                base = -self._panel(t_theta, pts.t[ja])
+                base = -gk_adaptive(self.gamma_t, t_theta, pts.t[ja], 1e-15, 1e-13)[0][0]
         log_ts_w = math.log(h) + pts.log_dvdt
 
         # Panel P_i = int_{t_i}^{t_{i+1}} gamma dt, all from one batched G7/K15
@@ -151,7 +152,7 @@ class ScaleTable:
             redo = np.flatnonzero(fail[ja - nl:ja + nr]) + (ja - nl)
             if not redo.size:
                 break
-            P[redo] = [self._panel(pts.t[i], pts.t[i + 1]) for i in redo]
+            P[redo] = gk_adaptive(self.gamma_t, pts.t[redo], pts.t[redo + 1], 1e-15, 1e-13)[0]
             fail[redo] = False
         if div.size:
             raise QuadratureError("inner weight integral diverges", math.inf, math.inf)
@@ -195,10 +196,6 @@ class ScaleTable:
         stop[:9] = False
         k = int(np.argmax(stop)) if stop.any() and self.cut else len(terms)
         return k, peak[min(k + 1, len(terms))]
-
-    def _panel(self, t0: float, t1: float) -> float:
-        """int_{t0}^{t1} gamma dt in the chart variable (oriented)."""
-        return gk_adaptive(self.gamma_t, t0, t1, 1e-15, 1e-13)[0]
 
     # -- evaluation -----------------------------------------------------------
 

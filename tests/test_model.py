@@ -30,6 +30,16 @@ SAME_CHAIN = [
     (md.make_spec(BINARY, 1.0, md.ImmigrationLaw.tabular({1: 1.0}), 0.0),
      md.make_spec(BINARY, 1.0), lambda s: ctl.optimal_value(ctl.ControlProblem(s, 0, 0.5), 1),
      1.3105859683466703),
+    # zero probabilities at the top of the support are dropped, also those that
+    # removing p_1 leaves
+    (md.make_spec(md.OffspringLaw.tabular({0: 0.5, 1: 0.5}), 2.0),
+     md.make_spec(md.OffspringLaw.tabular({0: 1.0}), 1.0), None, None),
+    (md.make_spec(md.OffspringLaw.tabular({0: 0.5, 2: 0.5, 3: 0.0}), 1.0),
+     md.make_spec(md.OffspringLaw.tabular({0: 0.5, 2: 0.5}), 1.0),
+     lambda s: ps.lt_first_passage(s, 1.0, 3, 1), 0.18306022237543873),
+    (md.make_spec(BINARY, 1.0, md.ImmigrationLaw.tabular({-1: 0.5, 1: 0.5, 5: 0.0}), 1.0),
+     md.make_spec(BINARY, 1.0, md.ImmigrationLaw.tabular({-1: 0.5, 1: 0.5}), 1.0),
+     lambda s: ps.lt_first_passage(s, 1.0, 3, 1), 0.4027826028189503),
 ]
 
 

@@ -21,7 +21,8 @@ def _chart_integral(f, a, b):
         p = chart.points(t)
         return f(p) * p.dvdt
 
-    return quad.gk_adaptive(g, -quad.T_MAX, quad.T_MAX, 1e-15, 1e-13)[0]
+    lo, hi = np.array([-quad.T_MAX]), np.array([quad.T_MAX])
+    return quad.gk_adaptive(g, lo, hi, 1e-15, 1e-13)[0][0]
 
 
 class TestIntegrate:
@@ -77,11 +78,10 @@ class TestGaussKronrod:
         edges = np.linspace(0.0, 1.0, 11)
         vals, _, fail = quad.gk_panels(g, edges[:-1], edges[1:], 1e-15, 1e-13)
         assert np.flatnonzero(fail).tolist() == [5]
-        vals[fail] = [quad.gk_adaptive(g, edges[i], edges[i + 1], 1e-15, 1e-13)[0]
-                      for i in np.flatnonzero(fail)]
+        vals[fail] = quad.gk_adaptive(g, edges[:-1][fail], edges[1:][fail], 1e-15, 1e-13)[0]
         for i in range(10):
-            want, _ = quad.gk_adaptive(g, edges[i], edges[i + 1], 1e-15, 1e-13)
-            assert vals[i] == pytest.approx(want, rel=1e-15, abs=1e-17)
+            want, _ = quad.gk_adaptive(g, edges[i:i + 1], edges[i + 1:i + 2], 1e-15, 1e-13)
+            assert vals[i] == pytest.approx(want[0], rel=1e-15, abs=1e-17)
         exact = math.e - 1.0 + 0.5 * (c ** 2 + (1.0 - c) ** 2)
         assert float(np.sum(vals)) == pytest.approx(exact, rel=1e-14)
 
@@ -93,6 +93,31 @@ class TestGaussKronrod:
 
         with time_limit(1), pytest.raises(QuadratureError) as exc_info:
             quad.gk_adaptive(g, 0.0, 1.0, 1e-15, 1e-13)
+        assert exc_info.value.estimate == pytest.approx(1.0, rel=1e-8)
+
+    def test_oriented_panels_match_single_calls(self):
+        # every other panel reversed, the kinked one (5) among them
+        def g(x):
+            return np.exp(x) + np.abs(x - 0.537)
+
+        edges = np.linspace(0.0, 1.0, 11)
+        lo, hi = edges[:-1].copy(), edges[1:].copy()
+        lo[1::2], hi[1::2] = edges[2::2], edges[1:-1:2]
+        vals, _ = quad.gk_adaptive(g, lo, hi, 1e-15, 1e-13)
+        for i in range(10):
+            want, _ = quad.gk_adaptive(g, lo[i:i + 1], hi[i:i + 1], 1e-15, 1e-13)
+            assert vals[i] == pytest.approx(want[0], rel=1e-15, abs=1e-17)
+        fwd, _ = quad.gk_adaptive(g, edges[:-1], edges[1:], 1e-15, 1e-13)
+        assert np.array_equal(vals[1::2], -fwd[1::2]) and np.array_equal(vals[::2], fwd[::2])
+
+    def test_noisy_panel_among_resolved_refuses(self, time_limit):
+        # the noise of test_noisy_integrand_refuses on the first quarter only
+        def g(x):
+            return np.where(x < 0.25, 1.0 + 1e-9 * np.sin(1e15 * x), 1.0)
+
+        edges = np.linspace(0.0, 1.0, 5)
+        with time_limit(1), pytest.raises(QuadratureError) as exc_info:
+            quad.gk_adaptive(g, edges[:-1], edges[1:], 1e-15, 1e-13)
         assert exc_info.value.estimate == pytest.approx(1.0, rel=1e-8)
 
     def test_panels_across_blocks(self):

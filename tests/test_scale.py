@@ -234,7 +234,8 @@ def _reference_logw(tbl: sc.ScaleTable) -> np.ndarray:
     npts = len(t)
 
     def panel(t0, t1):
-        return quad.gk_adaptive(tbl.gamma_t, t0, t1, 1e-15, 1e-13)[0]
+        return float(quad.gk_adaptive(tbl.gamma_t, np.array([t0]), np.array([t1]),
+                                      1e-15, 1e-13)[0][0])
 
     theta_anchored = not (tbl.anchor_end or tbl.branch == "upper")
     if not theta_anchored:
@@ -297,6 +298,48 @@ class TestBatchedBuild:
             # refinement level and node count as built panel by panel
             assert (tbl.diagnostics.level, tbl.diagnostics.n_nodes) == (6, 769)
             assert tbl.diagnostics.achieved_error <= tbl.cfg.rel_tol
+
+    def test_one_level_per_table(self, monkeypatch, m1, m2, m3, m4, m5):
+        # level 6 certifies itself on its own even nodes: no level 5 is built
+        built = []
+        build_level = sc.ScaleTable._build_level
+
+        def counted(tbl, level):
+            built.append(tbl)
+            return build_level(tbl, level)
+
+        monkeypatch.setattr(sc, "_CACHE", {})
+        monkeypatch.setattr(sc.ScaleTable, "_build_level", counted)
+        tables = self._tables(m1, m2, m3, m4, m5)
+        assert len(built) == len(sc._CACHE)
+        assert all(sum(b is tbl for b in built) == 1 for tbl in tables)
+
+    def test_every_failing_panel_refined(self, monkeypatch, m2, m3, m4):
+        # the first pass flags every panel, so every panel inside the kept
+        # ladders goes through gk_adaptive, which still runs quad's own step
+        def all_fail(g, lo, hi, abs_tol, rel_tol):
+            k, err, fail = quad.gk_panels(g, lo, hi, abs_tol, rel_tol)
+            return k, err, np.ones_like(fail)
+
+        refined = []
+
+        def counted(g, lo, hi, abs_tol, rel_tol):
+            refined.append(np.size(lo))
+            return quad.gk_adaptive(g, lo, hi, abs_tol, rel_tol)
+
+        args = ((m3, 1.0, {}), (m2, 2.0, {}), (m4, 1.0, {"branch": "upper"}))
+        normal = [sc._table(spec, q, **kw) for spec, q, kw in args]
+        monkeypatch.setattr(sc, "_CACHE", {})
+        monkeypatch.setattr(sc, "gk_panels", all_fail)
+        monkeypatch.setattr(sc, "gk_adaptive", counted)
+        for want, (spec, q, kw) in zip(normal, args):
+            refined.clear()
+            tbl = sc._table(spec, q, **kw)
+            assert tbl is not want and sum(refined) > 500
+            assert (tbl.diagnostics.level, tbl.diagnostics.n_nodes) == (6, 769)
+            fin = np.isfinite(want.logw)
+            assert np.array_equal(np.isfinite(tbl.logw), fin)
+            assert np.max(np.abs(tbl.logw[fin] - want.logw[fin])) <= 1e-13
 
 
 def _bd_mean_passage(lam, p0, p2, mu_up, x, a):
