@@ -12,7 +12,7 @@ import numpy as np
 
 from . import model as md
 from . import scale as sc
-from .errors import DomainError, PreconditionError, check_level, check_rate
+from .errors import DomainError, PreconditionError, UnsupportedRegimeError, check_level, check_rate
 from .quad import DEFAULT_CFG, QuadConfig
 
 __all__ = [
@@ -48,11 +48,11 @@ def prob_passage(spec: md.ModelSpec, x: int, a: int, cfg: QuadConfig = DEFAULT_C
 
 def certain_extinction(spec: md.ModelSpec) -> bool:
     """Whether P_x(T_0^- < inf) = 1 for all x: varphi = 1 and Phi_0 is the power
-    function (mu = 0, phi = 1, or a divergent q = 0 scale integral).  The
-    decision is the closed-form rule of ``scale._phi0_uses_integral``; no
+    function (mu = 0, phi = 1, or a divergent q = 0 scale integral), decided
+    by the closed-form endpoint exponent s <= 0 of ``scale._endpoint``; no
     quadrature runs."""
-    md.require_valid(spec)
-    return not sc._phi0_uses_integral(spec) and md.root_varphi(spec) == 1.0
+    U, s, _ = sc._endpoint(spec, 0.0, 0.0)
+    return U == 1.0 and s <= 0.0
 
 
 def lt_explosion_before(spec: md.ModelSpec, q: float, x: int, a: int,
@@ -199,12 +199,10 @@ def conditioned_generator(spec: md.ModelSpec, q: float, x_max: int,
     md.require_valid(spec)
     x_max = check_level(x_max, "x_max", low=1)
     check_rate(q, "q")
-    varphi = md.root_varphi(spec)
-    floor_q = max(spec.mu * (spec.immigration.pgf(varphi) - 1.0), 0.0) \
-        if spec.has_immigration else 0.0
-    if q < floor_q - 1e-12:
-        raise PreconditionError(
-            f"conditioned_generator needs q >= max(mu*(r~(varphi)-1), 0) = {floor_q!r}")
+    try:
+        sc._endpoint(spec, q, 0.0)
+    except UnsupportedRegimeError as exc:
+        raise PreconditionError(f"conditioned_generator needs q >= floor: {exc}") from None
     lam, mu, r_minus1 = spec.lam, spec.mu, spec.immigration.r_minus1
     p0 = spec.offspring.prob0
     # Upward jumps x -> x+k, k <= kmax, for all rows at once.  A row ends at its first k > 8

@@ -1,14 +1,21 @@
 """The scale/harmonic functions Phi_q, Psi_q, Phi_0, Phi_{q,qbar}, in log space.
 
-Each is either a power function base^x (the tie branch; Phi_0 = varphi^x) or
+Each is either a power function U^x (U = varphi_qbar, the root end of its
+chart) or
 
     exp(log_pref) * int_I exp{ -int_theta^v gamma } / D(v) * v^x dv
 
-over I = (0, U) (U the smallest root of D: varphi or varphi_qbar) or
-I = (varphi, 1).  One resolver per function picks the branch and returns the
-base or (log_pref, table); its value, its log and ``harmonic_residual`` share
-it.  One table per (model, q, qbar, chart, theta, anchor, cut) serves all x;
-it owns the one inner weight gamma_q = (q + mu(1 - r~(v)))/D(v)
+over I = (0, U) or I = (varphi, 1).  The integrand behaves like u^(s-1) at
+the root end, u = |v - U|, and the one closed-form exponent s (``_endpoint``)
+decides every branch in one resolver (``_resolve``): s < 0 is the regime
+phi_q > varphi_qbar (UnsupportedRegimeError), s = 0 the power function (the
+tie; refused on the upper chart), and s > 0 the integral, refused with
+QuadratureError when the chart's last node, about e^-634 from the root, would
+drop a share e^(-634 s) of the mass above rel_tol.  Its value, its log and
+``harmonic_residual`` share the resolved form.
+
+One table per (model, q, qbar, chart, theta, anchor, cut) serves all x; it
+owns the one inner weight gamma_q = (q + mu(1 - r~(v)))/D(v)
 (``ScaleTable.gamma_t``), so Phi_0 shares the Phi_{0,0} table and the mean
 explosion weight is q = 1 on an uncut upper table.  A table is the tanh-sinh node
 ladder of I at step 2^-level, the inner integral telescoped from an anchor
@@ -30,6 +37,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -38,9 +46,6 @@ from . import model as md
 from .errors import (DomainError, PreconditionError, QuadratureError, UnsupportedRegimeError,
                      check_level, check_rate)
 from .quad import DEFAULT_CFG, QuadConfig, T_MAX, TSMap, gk_adaptive, gk_panels
-
-#: |phi_q - varphi| below this selects the power-function branch Phi_q = varphi^x.
-BOUNDARY_TIE_TOL = 1e-9
 
 _LOG_CUT = 180.0      # stop extending the ladder once terms fall this far (in log) below the peak
 _DIVERGENCE_LOG = 500.0
@@ -308,24 +313,65 @@ class _Resolved(NamedTuple):
         return self.base ** _check_x(x) if self.tbl is None else math.exp(self.log(x))
 
 
-def _phi_q_tie(spec: md.ModelSpec, q: float) -> float | None:
-    """The rate and regime checks of Phi_q, before any table is built:
-    varphi when Phi_q is the power function varphi^x, else None."""
+#: |N(U)| within this share of q + mu(1 + r~(U)) is the tie N(U) = 0: it covers
+#: the roots' error (m2's varphi is 0.4999999999999999, so N = -4.4e-16 at q = 1)
+_TIE_SHARE = 1e-12
+
+
+@lru_cache(maxsize=md._ROOT_CACHE_MAX)
+def _endpoint(spec: md.ModelSpec, q: float, qbar: float) -> tuple[float, float, float]:
+    """(U, s, n) at rate q >= 0: the chart's root end U = varphi_qbar, the
+    exponent s of the integrand ~ u^(s-1) as u = |v - U| -> 0, and n = N(U),
+    N = q + mu(1 - r~).  At a simple root s = n/|D'(U)|, and |n| within
+    _TIE_SHARE of q + mu(1 + r~(U)) is the tie s = 0.  At the double root of
+    critical tabular offspring (qbar = 0, U = 1), D ~ lam p~''(1) u^2/2 and
+    N ~ q + mu r~'(1) u: s = inf for q > 0 or Sibuya immigration
+    (N ~ mu u^alpha), else s = 2 mu r~'(1)/(lam p~''(1)) - 1.  n below the
+    tie is the regime phi_q > varphi_qbar, which the paper leaves open."""
     md.require_valid(spec)
-    check_rate(q, "q", positive=True)
-    varphi = md.root_varphi(spec)
-    phi_q = md.root_phi_q(spec, q)
-    if phi_q > varphi + BOUNDARY_TIE_TOL:
-        raise UnsupportedRegimeError("phi_q <= varphi",
-                                     f"phi_q={phi_q!r} > varphi={varphi!r}; need q >= mu*(r~(varphi)-1)")
-    return varphi if abs(phi_q - varphi) < BOUNDARY_TIE_TOL else None
+    U = md.root_varphi_qbar(spec, qbar)
+    n = tol = q
+    if spec.has_immigration:
+        r = spec.immigration.pgf(U)
+        n, tol = q - spec.mu * (r - 1.0), q + spec.mu * (1.0 + r)
+    tol *= _TIE_SHARE
+    if n < -tol:
+        raise UnsupportedRegimeError("phi_q <= varphi_qbar",
+                                     f"N(varphi_qbar)={n!r} < 0; need q >= mu*(r~(varphi_qbar)-1)")
+    off = spec.offspring
+    if qbar == 0.0 and U == 1.0 and off.kind == "tabular" and off.mean() == 1.0:
+        if q > 0.0 or spec.immigration.kind == "sibuya":
+            return U, math.inf, n
+        curvature = float(sum(k * (k - 1) * p for k, p in enumerate(off.pmf)))
+        return U, 2.0 * spec.mu * spec.immigration.mean() / (spec.lam * curvature) - 1.0, n
+    if abs(n) <= tol:
+        return U, 0.0, n
+    return U, n / abs(spec.lam * (off.pgf_prime(U) - 1.0) - qbar), n
+
+
+def _resolve(spec: md.ModelSpec, q: float, qbar: float, branch: str, pref: float,
+             cfg: QuadConfig, theta: float | None = None) -> _Resolved:
+    """The one branch decision of every scale function, from the exponent s
+    of ``_endpoint``: the power function U^x for s <= 0 (refused on the upper
+    chart), QuadratureError when the chart's last node, e^_LOG_U_END from the
+    root, drops a share e^(s _LOG_U_END) above ``cfg.rel_tol`` of the mass,
+    else ``pref`` times the table integral."""
+    U, s, _ = _endpoint(spec, q, qbar)
+    if s <= 0.0:
+        if branch == "upper":
+            raise UnsupportedRegimeError("phi_q < varphi", f"q={q!r} is at the tie")
+        return _Resolved(U)
+    lost = math.exp(s * _LOG_U_END)
+    if lost > cfg.rel_tol:
+        raise QuadratureError(f"integrand ~ u^({s:.3g}-1) decays too slowly at the root "
+                              "for the chart", math.nan, lost)
+    return _Resolved(log_pref=math.log(pref),
+                     tbl=_table(spec, q, qbar=qbar, branch=branch, theta=theta, cfg=cfg))
 
 
 def _phi_q(spec: md.ModelSpec, q: float, cfg: QuadConfig) -> _Resolved:
-    varphi = _phi_q_tie(spec, q)
-    if varphi is not None:
-        return _Resolved(varphi)
-    return _Resolved(log_pref=math.log(q), tbl=_table(spec, q, cfg=cfg))
+    check_rate(q, "q", positive=True)
+    return _resolve(spec, q, 0.0, "lower", q, cfg)
 
 
 def phi_q_fn(spec: md.ModelSpec, q: float, x: int, cfg: QuadConfig = DEFAULT_CFG) -> float:
@@ -334,16 +380,10 @@ def phi_q_fn(spec: md.ModelSpec, q: float, x: int, cfg: QuadConfig = DEFAULT_CFG
 
 
 def _psi_q(spec: md.ModelSpec, q: float, cfg: QuadConfig) -> _Resolved:
-    md.require_valid(spec)
     check_rate(q, "q", positive=True)
     if not md.is_explosive(spec):
         raise PreconditionError("psi_q_fn requires an explosive chain")
-    varphi = md.root_varphi(spec)
-    phi_q = md.root_phi_q(spec, q)
-    if phi_q >= varphi - BOUNDARY_TIE_TOL:
-        raise UnsupportedRegimeError("phi_q < varphi",
-                                     f"phi_q={phi_q!r}, varphi={varphi!r}")
-    return _Resolved(log_pref=math.log(q), tbl=_table(spec, q, branch="upper", cfg=cfg))
+    return _resolve(spec, q, 0.0, "upper", q, cfg)
 
 
 def psi_q_fn(spec: md.ModelSpec, q: float, x: int, cfg: QuadConfig = DEFAULT_CFG) -> float:
@@ -351,51 +391,8 @@ def psi_q_fn(spec: md.ModelSpec, q: float, x: int, cfg: QuadConfig = DEFAULT_CFG
     return 1.0 - _psi_q(spec, q, cfg).value(x)
 
 
-def _phi0_exponent(spec: md.ModelSpec) -> float:
-    """Exponent s with Phi_0 integrand ~ u^(s-1) as u = 1 - v -> 0, for varphi = 1.
-
-    At a simple root of D at 1, gamma_0 = N/D stays finite because
-    N(1) = mu*(1 - r~(1)) = 0: s = 0.  At the double root of critical tabular
-    offspring, D ~ lam p~''(1) u^2/2 and N ~ mu r~'(1) u, so gamma_0 ~ k/u with
-    k = 2 mu r~'(1)/(lam p~''(1)) and s = k - 1.  Sibuya immigration has
-    N ~ mu u^alpha, so the weight decays faster than any power: s = inf.
-    """
-    off = spec.offspring
-    if off.mean() < 1.0:
-        return 0.0
-    if spec.immigration.kind == "sibuya":
-        return math.inf
-    curvature = sum(k * (k - 1) * p for k, p in enumerate(off.pmf))
-    return 2.0 * spec.mu * spec.immigration.mean() / (spec.lam * curvature) - 1.0
-
-
-def _phi0_uses_integral(spec: md.ModelSpec) -> bool:
-    """Case split for Phi_0, in closed form: the mu-weighted integral when it
-    converges, the power function varphi^x otherwise.  Below varphi < 1 it
-    converges (mu*(1 - r~(varphi)) > 0 there); at varphi = 1 iff s > 0 in
-    ``_phi0_exponent``."""
-    if not spec.has_immigration:
-        return False
-    varphi = md.root_varphi(spec)
-    phi = md.root_phi_q(spec, 0.0)
-    if phi > varphi + BOUNDARY_TIE_TOL:
-        raise UnsupportedRegimeError("phi <= varphi", f"phi={phi!r} > varphi={varphi!r}")
-    if abs(phi - varphi) <= BOUNDARY_TIE_TOL:
-        return False
-    return varphi < 1.0 or _phi0_exponent(spec) > 0.0
-
-
 def _phi_0(spec: md.ModelSpec, cfg: QuadConfig) -> _Resolved:
-    md.require_valid(spec)
-    varphi = md.root_varphi(spec)
-    if not _phi0_uses_integral(spec):
-        return _Resolved(varphi)
-    if varphi == 1.0:
-        lost = math.exp(_phi0_exponent(spec) * _LOG_U_END)
-        if lost > cfg.rel_tol:
-            raise QuadratureError("Phi_0 integrand decays too slowly at v = 1 for the chart",
-                                  math.nan, lost)
-    return _Resolved(log_pref=math.log(spec.mu), tbl=_table(spec, 0.0, cfg=cfg))
+    return _resolve(spec, 0.0, 0.0, "lower", spec.mu, cfg)
 
 
 def phi_0_fn(spec: md.ModelSpec, x: int, cfg: QuadConfig = DEFAULT_CFG) -> float:
@@ -403,10 +400,11 @@ def phi_0_fn(spec: md.ModelSpec, x: int, cfg: QuadConfig = DEFAULT_CFG) -> float
 
     Phi_0 is the mu-weighted integral when that converges and varphi^x
     otherwise, decided in closed form from the integrand's exponent s at the
-    root endpoint (``_phi0_uses_integral``).  At varphi = 1 the chart's last
-    node lies u_N ~ e^-634 from 1, and about u_N^s of the mass lies beyond it;
-    when that share exceeds ``cfg.rel_tol`` (s below ~0.036 at 1e-10) the call
-    raises QuadratureError.
+    root end (``_endpoint``): varphi^x for s <= 0, which covers mu = 0, a
+    simple root at varphi = 1 and critical offspring with k <= 1.  Like every
+    scale function it refuses with QuadratureError when s is positive but
+    below ~0.036 (at rel_tol 1e-10), where the chart would drop more than
+    rel_tol of the mass.
     """
     return _phi_0(spec, cfg).value(x)
 
@@ -428,20 +426,12 @@ def log_phi_fn(spec: md.ModelSpec, q: float, x, cfg: QuadConfig = DEFAULT_CFG):
 
 
 def _phi_q_qbar(spec: md.ModelSpec, q: float, qbar: float, cfg: QuadConfig) -> _Resolved:
-    md.require_valid(spec)
     check_rate(q, "q")
     check_rate(qbar, "qbar")
-    vq = md.root_varphi_qbar(spec, qbar)
+    vq, _, n = _endpoint(spec, q, qbar)
     if q == 0.0 and vq >= 1.0:
         raise PreconditionError("need q > 0 or varphi_qbar < 1")
-    if q == 0.0 and not spec.has_immigration:
-        # q -> 0 limit of the general expression (power function)
-        return _Resolved(vq)
-    shift = spec.mu * (spec.immigration.pgf(vq) - 1.0) if spec.has_immigration else 0.0
-    if not q > shift + 1e-12:
-        raise UnsupportedRegimeError("q > mu*(r~(varphi_qbar)-1)",
-                                     f"q={q!r}, mu*(r~(varphi_qbar)-1)={shift!r}")
-    return _Resolved(log_pref=math.log(q - shift), tbl=_table(spec, q, qbar=qbar, cfg=cfg))
+    return _resolve(spec, q, qbar, "lower", n, cfg)
 
 
 def phi_q_qbar_fn(spec: md.ModelSpec, q: float, qbar: float, x: int,
@@ -516,8 +506,9 @@ def phi_q_with_delimiter(spec: md.ModelSpec, q: float, x: int, theta: float,
                          cfg: QuadConfig = DEFAULT_CFG) -> float:
     """Phi_q with the lower delimiter replaced by theta in (0, varphi); differs
     from phi_q_fn by an x-independent factor only."""
-    _phi_q_tie(spec, q)  # refuses q and regimes that phi_q_fn refuses
+    check_rate(q, "q", positive=True)
+    varphi = _endpoint(spec, q, 0.0)[0]  # refuses the regimes that phi_q_fn refuses
     x = _check_x(x)
-    if not (0.0 < theta < md.root_varphi(spec)):
+    if not (0.0 < theta < varphi):
         raise DomainError("theta must lie in (0, varphi)")
-    return q * math.exp(_table(spec, q, theta=theta, cfg=cfg).log_value(x))
+    return _resolve(spec, q, 0.0, "lower", q, cfg, theta).value(x)

@@ -17,17 +17,22 @@ from . import model as md
 from . import passage as ps
 from . import scale as sc
 from . import sim
-from .errors import PreconditionError, UnsupportedRegimeError
+from .errors import PreconditionError, QuadratureError, UnsupportedRegimeError
+from .quad import DEFAULT_CFG
 
 Check = tuple[str, bool, str]
 
 
-def _supported_qs(spec: md.ModelSpec, qs=(0.25, 1.0, 4.0)) -> list[float]:
-    varphi = md.root_varphi(spec)
+def _supported_qs(spec: md.ModelSpec, qs=(0.25, 1.0, 4.0), resolve=sc._phi) -> list[float]:
+    """The rates in ``qs`` that ``resolve`` answers; the rest it refuses by
+    regime or by the chart's band, and the suites skip them."""
     out = []
     for q in qs:
-        if md.root_phi_q(spec, q) <= varphi + sc.BOUNDARY_TIE_TOL:
-            out.append(q)
+        try:
+            resolve(spec, q, DEFAULT_CFG)
+        except (UnsupportedRegimeError, QuadratureError):
+            continue
+        out.append(q)
     return out
 
 
@@ -68,7 +73,7 @@ def analytic_suite(spec: md.ModelSpec) -> list[Check]:
     checks.append(("harmonic residual Phi_q < 1e-6", worst < 1e-6, f"worst={worst:.2e}"))
     if md.is_explosive(spec):
         worst = 0.0
-        for q in _supported_qs(spec):
+        for q in _supported_qs(spec, resolve=sc._psi_q):
             for x in range(1, 21):
                 worst = max(worst, sc.harmonic_residual(spec, q, 0.0, "psi_q", x))
         checks.append(("harmonic residual Psi_q < 1e-6", worst < 1e-6, f"worst={worst:.2e}"))
@@ -93,12 +98,11 @@ def analytic_suite(spec: md.ModelSpec) -> list[Check]:
 
     # delimiter invariance of Phi_q ratios
     for q in _supported_qs(spec, (2.0, 4.0))[:1]:
-        if md.root_phi_q(spec, q) < varphi - sc.BOUNDARY_TIE_TOL:
-            r1 = sc.phi_q_fn(spec, q, 3) / sc.phi_q_fn(spec, q, 1)
-            r2 = (sc.phi_q_with_delimiter(spec, q, 3, varphi / 2)
-                  / sc.phi_q_with_delimiter(spec, q, 1, varphi / 2))
-            checks.append(("delimiter invariance of ratios", abs(r1 - r2) <= 1e-9,
-                           f"diff={abs(r1 - r2):.2e}"))
+        r1 = sc.phi_q_fn(spec, q, 3) / sc.phi_q_fn(spec, q, 1)
+        r2 = (sc.phi_q_with_delimiter(spec, q, 3, varphi / 2)
+              / sc.phi_q_with_delimiter(spec, q, 1, varphi / 2))
+        checks.append(("delimiter invariance of ratios", abs(r1 - r2) <= 1e-9,
+                       f"diff={abs(r1 - r2):.2e}"))
 
     tilted = ps.tilted_model(spec, 1.0)
     mean = tilted.offspring.mean()
@@ -121,7 +125,6 @@ def _mc_params(spec: md.ModelSpec) -> dict:
 def mc_suite(spec: md.ModelSpec, paths: int, seed: int) -> list[Check]:
     checks: list[Check] = []
     pars = _mc_params(spec)
-    varphi = md.root_varphi(spec)
     phi = md.root_phi_q(spec, 0.0)
 
     def cfg(s_off: int) -> sim.SimConfig:
@@ -134,7 +137,7 @@ def mc_suite(spec: md.ModelSpec, paths: int, seed: int) -> list[Check]:
         checks.append((f"MC lt passage q={q} x=1", dev <= 3.0,
                        f"dev={dev:.2f}sigma est={est.mean!r} want={want!r}"))
 
-    if phi <= varphi + sc.BOUNDARY_TIE_TOL:
+    if _supported_qs(spec, (0.0,)):
         want = ps.prob_passage(spec, 1, 0)
         est = sim.estimate_lt_passage(spec, 0.0, 1, 0, cfg(2))
         dev = abs(est.mean - want) / max(est.se, 1e-12)

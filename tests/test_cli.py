@@ -268,6 +268,14 @@ class TestVerifyCommand:
         assert r.exit_code == 0
         assert "dichotomy" in r.stdout
 
+    def test_analytic_skips_band_rates(self, runner, tmp_path):
+        # s = q/8: q = 0.25 sits in the band where Phi_q refuses
+        path = tmp_path / "slow.json"
+        md.dump_model(md.make_spec(md.OffspringLaw.tabular({0: 0.9, 2: 0.1}), 10.0), path)
+        r = _invoke(runner, ["verify", "--model", str(path), "--suite", "analytic"])
+        assert r.exit_code == 0
+        assert json.loads(r.stdout.strip().splitlines()[-1])["failed"] == 0
+
     def test_control_suite(self, runner, model_dir):
         r = _invoke(runner, ["verify", "--model", str(model_dir / "m1.json"),
                              "--suite", "control", "--paths", "5000", "--seed", "7"])

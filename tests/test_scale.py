@@ -157,13 +157,24 @@ class TestPhiQQbar:
         assert all(v > 0 for v in vals)
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    def test_strict_precondition(self, m2):
-        # q must exceed mu*(r~(varphi_qbar)-1) strictly
+    def test_regime_floor(self, m2):
+        # at the floor q = mu*(r~(varphi_qbar)-1), N(varphi_qbar) = 0: the s = 0
+        # limit varphi_qbar^x, as for Phi_q at its tie; below it, refused
         vq = md.root_varphi_qbar(m2, 1.0)
-        bad_q = 1.0 * (m2.immigration.pgf(vq) - 1.0)
+        shift = 1.0 * (m2.immigration.pgf(vq) - 1.0)
+        for x in (1, 2, 5, 20):
+            got = sc.phi_q_qbar_fn(m2, shift, 1.0, x) / sc.phi_q_qbar_fn(m2, shift, 1.0, 0)
+            assert got == pytest.approx(vq ** x, rel=1e-12, abs=0.0)
+        # and it is the transform: the birth-death chain b(y) = 2y, d(y) = y + 1,
+        # killed at rate shift + y, from the minimal solution of its recursion
+        r, want = 0.5, 1.0
+        for y in range(3000, 0, -1):
+            r = (y + 1) / (shift + 4 * y + 1 - 2 * y * r)
+            want *= r if y <= 20 else 1.0
+        assert ps.lt_joint_avalanche(m2, shift, 1.0, 20, 0) == pytest.approx(want, rel=1e-10)
         with pytest.raises(UnsupportedRegimeError):
-            sc.phi_q_qbar_fn(m2, bad_q, 1.0, 1)
-        assert sc.phi_q_qbar_fn(m2, bad_q + 0.5, 1.0, 1) > 0.0
+            sc.phi_q_qbar_fn(m2, shift - 1e-6, 1.0, 1)
+        assert sc.phi_q_qbar_fn(m2, shift + 0.5, 1.0, 1) > 0.0
 
 
 class TestHarmonicResidual:
@@ -394,6 +405,9 @@ class TestTableCache:
         assert again.log_value(7) == first.log_value(7)
         assert len(sc._CACHE) == 4
 
+    def test_endpoint_cache_bounded(self):
+        assert sc._endpoint.cache_info().maxsize == md._ROOT_CACHE_MAX
+
     def test_root_caches_bounded(self):
         for fn in (md.root_varphi, md.root_phi_q, md.root_varphi_qbar):
             assert fn.cache_info().maxsize is not None
@@ -478,13 +492,21 @@ class TestLevelArrays:
 
 
 class TestUnconvergedTable:
-    """A table whose probes have not settled by level 9 refuses instead of
-    being served: at q = 0.01, m1 and m3 sit in the near-tie band, and the
-    served values were 5.0e-8 and 2.2e-5 off the birth-death oracle."""
+    """At q = 0.01, m1 and m3 sit in the near-tie band (s = 0.02 and 0.01),
+    where served values were 5.0e-8 and 2.2e-5 off the birth-death oracle.
+    The resolver refuses them before any table is built; a table built there
+    anyway refuses because its probes have not settled by level 9."""
 
     @pytest.mark.parametrize("name", ["m1", "m3"])
     def test_refuses_with_achieved_error(self, request, name, time_limit):
         spec = request.getfixturevalue(name)
         with time_limit(5), pytest.raises(QuadratureError) as exc_info:
             ps.lt_first_passage(spec, 0.01, 1, 0)
+        assert exc_info.value.achieved_error > sc.DEFAULT_CFG.rel_tol
+
+    @pytest.mark.parametrize("name", ["m1", "m3"])
+    def test_table_refuses_by_level_9(self, request, name, time_limit):
+        spec = request.getfixturevalue(name)
+        with time_limit(5), pytest.raises(QuadratureError) as exc_info:
+            sc._table(spec, 0.01)
         assert exc_info.value.achieved_error > sc.DEFAULT_CFG.rel_tol

@@ -5,7 +5,9 @@ immigration or -1 culling at rate mu, is a birth-death chain with
 b(y) = lam p2 y + mu [+1] and d(y) = lam p0 y + mu [-1].  Every case must match
 the oracle within REL or refuse with a typed error; levels reach (900, 899),
 where Phi_q itself underflows.  The at-minimum law at x = 200 is checked the
-same way, entry by entry.
+same way, entry by entry.  A second sweep holds the fixtures to 1e-10 next to
+the power-function tie and the edge of the band where the chart drops too
+much of the mass.
 """
 
 import math
@@ -14,6 +16,7 @@ import pytest
 
 from bgwscale import model as md
 from bgwscale import passage as ps
+from bgwscale import scale as sc
 from bgwscale.errors import PreconditionError, QuadratureError, UnsupportedRegimeError
 
 REL = 1e-8
@@ -95,3 +98,40 @@ def test_lt_first_passage_matches_birth_death(p2, lam, step, mu, q, time_limit):
     want = [math.exp(math.fsum(logs[k + 1:ATMIN_X + 1])) * (-math.expm1(logs[k]) if k else 1.0)
             for k in range(ATMIN_X + 1)]
     assert pmf == pytest.approx(want, rel=REL, abs=0.0)
+
+
+NEAR_TIE_REL = 1e-10
+#: (fixture, its birth-death family, q, must answer).  The endpoint exponent is
+#: s = 2q on m1, q on m3 and q - 1 on m2; at rel_tol 1e-10 the band is s below
+#: ~0.036, and m2 at q = 1 is the tie, served as varphi^x.
+NEAR_TIE = ([("m1", (0.25, 1.0, 0, 0.0), q, q >= 0.0185)
+             for q in (0.016, 0.017, 0.018, 0.0185, 0.02)]
+            + [("m3", (0.25, 2.0, 1, 1.0), q, q >= 0.037)
+               for q in (0.032, 0.035, 0.036, 0.037, 0.04)]
+            + [("m2", (2 / 3, 3.0, -1, 1.0), 1.0 + d, d >= 0.037)
+               for d in (1e-12, 1e-10, 1e-9, 3e-9, 0.035, 0.037, 0.05)])
+
+
+@pytest.mark.parametrize("name, fam, q, answers", NEAR_TIE,
+                         ids=[f"{name}-q={q!r}" for name, _, q, _ in NEAR_TIE])
+def test_near_tie_matches_birth_death_or_refuses(request, monkeypatch, time_limit,
+                                                 name, fam, q, answers):
+    spec = request.getfixturevalue(name)
+    logs = _log_steps(*fam, q)
+    calls = [((x, a), lambda x=x, a=a: ps.lt_first_passage(spec, q, x, a),
+              math.exp(math.fsum(logs[a + 1:x + 1]))) for x, a in ((1, 0), (20, 0), (50, 0))]
+    if name == "m1":  # mu = 0: Phi_q(0) = 1 exactly
+        calls.append(("Phi_q(0)", lambda: sc.phi_q_fn(spec, q, 0), 1.0))
+    monkeypatch.setattr(sc, "_CACHE", {})
+    with time_limit(10):
+        for where, call, want in calls:
+            tables = len(sc._CACHE)
+            try:
+                got = call()
+            except REFUSALS as exc:
+                assert not answers, (where, exc)
+                assert len(sc._CACHE) == tables, where
+                if isinstance(exc, QuadratureError):
+                    assert exc.achieved_error > sc.DEFAULT_CFG.rel_tol, where
+                continue
+            assert got == pytest.approx(want, rel=NEAR_TIE_REL, abs=0.0), where
