@@ -92,9 +92,12 @@ def mean_first_passage(spec: md.ModelSpec, x: int, a: int,
     phi = md.root_phi_q(spec, 0.0)
     if phi >= 1.0:
         raise PreconditionError("mean_first_passage requires phi < 1")
-    tbl = sc._table(spec, 0.0, anchor_end=True, cfg=cfg)
-    # int (v^a - v^x) exp{int_v^1 gamma_0} / D dv
-    return math.exp(tbl.log_value(a, tbl.log_one_minus_pow(x - a)))
+    tbl = sc._table(spec, 0.0, cfg=cfg)  # s <= 0: int (v^a - v^x) exp{int_v^1 gamma_0} / D dv
+    log_mean = tbl.log_value(a, tbl.log_one_minus_pow(x - a))
+    try:
+        return math.exp(log_mean)
+    except OverflowError:
+        raise PreconditionError(f"mean passage time e^{log_mean:.6g} exceeds floats") from None
 
 
 def mean_explosion(spec: md.ModelSpec, x: int, cfg: QuadConfig = DEFAULT_CFG) -> float:
@@ -104,9 +107,9 @@ def mean_explosion(spec: md.ModelSpec, x: int, cfg: QuadConfig = DEFAULT_CFG) ->
         raise PreconditionError("mean_explosion requires mu = 0")
     if not md.is_explosive(spec):
         raise PreconditionError("mean_explosion requires an explosive chain")
-    tbl = sc._table(spec, 1.0, branch="upper", cut=False, cfg=cfg)
-    with np.errstate(divide="ignore"):  # x int v^(x-1) J(v) dv, J = int_v^1 dw/rho = -logw
-        return x * math.exp(tbl.log_value(x - 1, weight=np.log(-tbl.logw)))
+    tbl = sc._table(spec, 0.0, branch="upper", cfg=cfg)  # q = mu = 0: s = 0 and logw = 0
+    # x int v^(x-1) int_v^1 dw/|D| dv = int_varphi^1 (w^x - varphi^x)/|D(w)| dw (Fubini)
+    return math.exp(x * tbl.log_root + tbl.log_value(0, tbl.log_one_minus_pow(x)))
 
 
 def lt_joint_avalanche(spec: md.ModelSpec, q: float, qbar: float, x: int, a: int,

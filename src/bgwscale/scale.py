@@ -14,16 +14,17 @@ QuadratureError when the chart's last node, about e^-634 from the root, would
 drop a share e^(-634 s) of the mass above rel_tol.  Its value, its log and
 ``harmonic_residual`` share the resolved form.
 
-One table per (model, q, qbar, chart, theta, anchor, cut) serves all x; it
-owns the one inner weight gamma_q = (q + mu(1 - r~(v)))/D(v)
-(``ScaleTable.gamma_t``), so Phi_0 shares the Phi_{0,0} table and the mean
-explosion weight is q = 1 on an uncut upper table.  A table is the tanh-sinh node
-ladder of I at step 2^-level, the inner integral telescoped from an anchor
-node by one blocked G7/K15 pass over all panels, each side cut once its terms
-fall _LOG_CUT below the running peak, failing panels inside the cut refined
-by one adaptive call.  Level 6 is built first and certified on its own even
-nodes, the step-2h ladder: it is served once both give the same probes, else
-the next level is built, up to level 9 or QuadratureError.
+One table per (model, q, qbar, chart) owns the one inner weight gamma_q =
+(q + mu(1 - r~(v)))/D(v) (``ScaleTable.gamma_t``) and serves levels for s > 0
+(anchored at theta = phi_q, or at 1 on the upper chart), else level
+differences (mean passage and explosion times; anchored at the right end).
+It is the tanh-sinh node ladder of I at step 2^-level, the inner integral
+telescoped from the anchor by one blocked G7/K15 pass over all panels, each
+side cut once its terms fall _LOG_CUT below the running peak (towards the
+root at level _X_MAX, the cap on served levels), failing panels inside the
+cut refined by one adaptive call.  Level 6 is built first and certified on
+its own even nodes, the step-2h ladder: it is served once both give the same
+probes, else the next level is built, up to level 9 or QuadratureError.
 Tables hold logs only, and ``ScaleTable.log_value`` is their one evaluator:
 m + log sum exp(lt - m) over the node terms lt, with an optional log kernel
 added on every node.  It takes one level or a 1-D integer array of levels,
@@ -48,14 +49,14 @@ from .errors import (DomainError, PreconditionError, QuadratureError, Unsupporte
 from .quad import DEFAULT_CFG, QuadConfig, T_MAX, TSMap, gk_adaptive, gk_panels
 
 _LOG_CUT = 180.0      # stop extending the ladder once terms fall this far (in log) below the peak
-_DIVERGENCE_LOG = 500.0
+#: highest level a table of levels serves: the cut of its root side holds up to it
+_X_MAX = 1 << 20
 #: log of the distance from 1 of the last node of the (0, 1) chart
 _LOG_U_END = -math.pi * math.sinh(T_MAX)
 
 _PROBE_XS = np.array([0, 1, 8, 24])
-#: (x, a) probes of end-anchored tables, which serve mean passage times: the
-#: raw integral there grows without bound as the step shrinks, the served
-#: differences do not.
+#: (x, a) probes of tables of level differences: the raw integral may grow
+#: without bound as the step shrinks, the served differences do not.
 _PROBE_PASSAGES = np.array([(1, 0), (8, 7), (24, 23), (24, 0)]).T
 #: node terms per block (64 KiB) when levels are arrays: small blocks keep the heap flat
 _BLOCK = 1 << 13
@@ -71,19 +72,17 @@ class KernelDiagnostics:
 class ScaleTable:
     """Quadrature table for one scale-function integral family."""
 
-    def __init__(self, spec: md.ModelSpec, q: float, qbar: float, branch: str,
-                 theta: float, anchor_end: bool, cut: bool, cfg: QuadConfig):
+    def __init__(self, spec: md.ModelSpec, q: float, qbar: float, branch: str, cfg: QuadConfig):
         self.spec = spec
         self.q = q
         self.branch = branch          # "lower" | "upper"
-        self.theta = theta
-        self.anchor_end = anchor_end  # anchor the inner integral at the right endpoint
-        self.cut = cut                # end the ladders once their terms are negligible
         self.cfg = cfg
-        if branch == "lower":
-            self.low, self.high = 0.0, md.root_varphi_qbar(spec, qbar)
-        else:
-            self.low, self.high = md.root_varphi(spec), 1.0
+        U, s, _ = _endpoint(spec, q, qbar)
+        self.differences = s <= 0.0   # serves level differences, anchored at the right end
+        self.log_root = math.log(U)
+        self.low, self.high = (0.0, U) if branch == "lower" else (U, 1.0)
+        # the delimiter, where logw vanishes: phi_q on lower tables of levels, else the right end
+        self.theta = md.root_phi_q(spec, q) if branch == "lower" and s > 0.0 else self.high
         self.chart = TSMap(self.low, self.high)
         self.gap = md.GapEvaluator(spec, qbar if branch == "lower" else 0.0)
         self.diagnostics = KernelDiagnostics()
@@ -96,23 +95,23 @@ class ScaleTable:
         x, a = _PROBE_PASSAGES
         for level in range(6, 10):
             self._build_level(level)
-            coarse = self.logw - self.log_absD + math.log(2.0)
-            coarse[1::2] = -math.inf
-            fine, rough = (np.exp(self.log_value(a, self.log_one_minus_pow(x - a), w)
-                                  if self.anchor_end else self.log_value(_PROBE_XS, weight=w))
-                           for w in (None, coarse))
-            err = float(np.max(np.abs(fine - rough) / np.maximum(np.abs(fine), 1e-300)))
+            coarse = np.where(np.arange(self.logv.size) % 2, -math.inf, math.log(2.0))
+            fine, rough = (self.log_value(a, self.log_one_minus_pow(x - a) + c)
+                           if self.differences else self.log_value(_PROBE_XS, c)
+                           for c in (0.0, coarse))
+            with np.errstate(over="ignore", invalid="ignore"):  # probes are logs
+                err = float(np.max(np.abs(np.expm1(rough - fine))))
+                estimate = float(np.exp(fine[0]))
             self.diagnostics.level, self.diagnostics.achieved_error = level, err
             if err <= self.cfg.rel_tol:
                 return
-        raise QuadratureError(f"table did not converge by level {level}", float(fine[0]), err)
+        raise QuadratureError(f"table did not converge by level {level}", estimate, err)
 
     def _build_level(self, level: int) -> None:
         h = 2.0 ** -level
         n = int(T_MAX / h)
         pts = self.chart.points(np.arange(-n, n + 1) * h)
-        npts = len(pts.t)
-        self.diagnostics.n_nodes = npts
+        self.diagnostics.n_nodes = npts = len(pts.t)
 
         # exact distances to the root and to 1, and their logs, which stay
         # finite where the distances underflow
@@ -127,19 +126,17 @@ class ScaleTable:
         # anchor node for the telescoped inner integral, and the (oriented)
         # correction from theta to its nearest grid node
         ja, base = npts - 1, 0.0
-        if not (self.anchor_end or self.branch == "upper"):
-            ja = 0
+        if self.theta < self.high:
+            t_theta = self.chart.t_of(self.theta)  # -T_MAX at theta = 0
+            ja = int(np.argmin(np.abs(pts.t - t_theta)))
             if self.theta > 0.0:
-                t_theta = self.chart.t_of(self.theta)
-                ja = int(np.argmin(np.abs(pts.t - t_theta)))
                 base = -gk_adaptive(self.gamma_t, t_theta, pts.t[ja], 1e-15, 1e-13)[0][0]
         log_ts_w = math.log(h) + pts.log_dvdt
 
-        # Panel P_i = int_{t_i}^{t_{i+1}} gamma dt, all from one batched G7/K15
-        # step.  Updates per kernel type, walking away from the anchor:
-        #   theta-anchored  logw = -int_theta^v:  right: -P,  left: +P
-        #   upper           logw = -int_v^1:      left: -P
-        #   end-anchored    logw = +int_v^b:      left: +P (may diverge)
+        # Panel P_i = int_{t_i}^{t_{i+1}} gamma dt from one batched G7/K15 step,
+        # summed away from the anchor into logw = -int_theta^v (-P on the upper
+        # chart's left walk).  Only a right walk reaches the root, where v^x
+        # gains on every earlier node, so its cut is taken at level _X_MAX.
         # Failing panels inside the kept ladders get the adaptive rule, which
         # may move the cuts; failing panels outside them are never used.
         left_sign = -1.0 if self.branch == "upper" else 1.0
@@ -148,19 +145,14 @@ class ScaleTable:
             with np.errstate(invalid="ignore", over="ignore"):
                 right = np.cumsum(np.concatenate(([base], -P[ja:])))
                 left = np.cumsum(np.concatenate(([base], left_sign * P[:ja][::-1])))
-                nr, best = self._ladder_len(log_ts_w[ja:-1] + right[:-1] - log_absD[ja:-1],
-                                            -math.inf)
-                nl, _ = self._ladder_len(log_ts_w[ja:0:-1] + left[:-1] - log_absD[ja:0:-1], best)
-            # the left walk ends at its first divergent node
-            div = np.flatnonzero(left[1:nl + 1] > _DIVERGENCE_LOG)
-            nl = int(div[0]) + 1 if div.size else nl
+                nr, best = _ladder_len(log_ts_w[ja:-1] + right[:-1] - log_absD[ja:-1],
+                                       -math.inf, _X_MAX * logv[ja:-1])
+                nl, _ = _ladder_len(log_ts_w[ja:0:-1] + left[:-1] - log_absD[ja:0:-1], best)
             redo = np.flatnonzero(fail[ja - nl:ja + nr]) + (ja - nl)
             if not redo.size:
                 break
             P[redo] = gk_adaptive(self.gamma_t, pts.t[redo], pts.t[redo + 1], 1e-15, 1e-13)[0]
             fail[redo] = False
-        if div.size:
-            raise QuadratureError("inner weight integral diverges", math.inf, math.inf)
         logw = np.full(npts, -np.inf)
         logw[ja:ja + nr + 1] = right[:nr + 1]
         logw[ja - nl:ja + 1] = left[nl::-1]
@@ -191,27 +183,15 @@ class ScaleTable:
         gamma = self.gap.ratio(num, p.v, d_root, d_one)
         return (-gamma if self.branch == "upper" else gamma) * p.dvdt
 
-    def _ladder_len(self, terms: np.ndarray, best: float) -> tuple[int, float]:
-        """Steps a ladder takes before a node term falls _LOG_CUT below the
-        running peak (seeded with ``best``; NaN never moves it), and the peak
-        there.  The first 9 steps are always taken.  Uncut tables (the
-        J-weighted mean explosion time has no 1/omega damping) take every step."""
-        peak = np.fmax.accumulate(np.concatenate(([best], terms)))
-        stop = terms < peak[1:] - _LOG_CUT
-        stop[:9] = False
-        k = int(np.argmax(stop)) if stop.any() and self.cut else len(terms)
-        return k, peak[min(k + 1, len(terms))]
-
     # -- evaluation -----------------------------------------------------------
 
-    def log_value(self, x, extra: np.ndarray | float = 0.0, weight: np.ndarray | None = None):
+    def log_value(self, x, extra: np.ndarray | float = 0.0):
         """log of the table integral at level x, with ``extra`` added to the log
         integrand on every node: m + log sum exp(lt - m) over the node terms lt,
-        -inf when every term is -inf.  ``weight`` replaces the node weight
-        logw - log|D| for the special forms that do not use it.  ``x`` may be a
-        1-D integer array of levels (``extra`` then one row per level or one
-        for all), reduced _BLOCK node terms at a time, bit for bit the scalars."""
-        base = self.log_node if weight is None else self.log_ts_w + weight
+        -inf when every term is -inf.  ``x`` may be a 1-D integer array of
+        levels (``extra`` then one row per level or one for all), reduced
+        _BLOCK node terms at a time, bit for bit the scalars."""
+        base = self.log_node
         if not isinstance(x, np.ndarray) or x.ndim == 0:
             lt = base + x * self.logv + extra
             m = float(np.max(lt))
@@ -232,10 +212,12 @@ class ScaleTable:
         return out
 
     def log_one_minus_pow(self, n) -> np.ndarray:
-        """log(1 - v^n) on the nodes (one row per n for an array n): the mean
-        passage kernel v^a - v^x is v^a (1 - v^(x-a))."""
+        """log|1 - (v/U)^n| on the nodes (one row per n for an array n), U the
+        chart's root end: the difference kernel of mean passage times,
+        v^a - v^x = v^a (1 - v^(x-a)) at U = 1, and of mean explosion times,
+        w^x - U^x = U^x |1 - (w/U)^x|."""
         with np.errstate(divide="ignore"):
-            return np.log(-np.expm1(np.multiply.outer(n, self.logv)))
+            return np.log(np.abs(np.expm1(np.multiply.outer(n, self.logv - self.log_root))))
 
     def log_pgf_factors(self) -> tuple[np.ndarray, np.ndarray | None]:
         """(log p~(v_i), log r~(v_i)) on the nodes, for generating-function sums."""
@@ -250,6 +232,18 @@ class ScaleTable:
         return log_p, log_r
 
 
+def _ladder_len(terms: np.ndarray, best: float, tilt=0.0) -> tuple[int, float]:
+    """Steps a ladder takes (at least 9) before a node term plus ``tilt`` falls
+    _LOG_CUT below the running peak of those sums (seeded with ``best``; NaN
+    never moves it), and the peak of the plain terms there."""
+    tilted = terms + tilt
+    peak = np.fmax.accumulate(np.concatenate(([best], tilted)))
+    stop = tilted < peak[1:] - _LOG_CUT
+    stop[:9] = False
+    k = int(np.argmax(stop)) if stop.any() else len(terms)
+    return k, float(np.fmax.reduce(terms[:k + 1], initial=best))
+
+
 # ---------------------------------------------------------------------------
 # table cache
 # ---------------------------------------------------------------------------
@@ -261,17 +255,14 @@ _CACHE_LOCK = threading.Lock()
 
 
 def _table(spec: md.ModelSpec, q: float, *, qbar: float = 0.0, branch: str = "lower",
-           theta: float | None = None, anchor_end: bool = False, cut: bool = True,
            cfg: QuadConfig = DEFAULT_CFG) -> ScaleTable:
-    if theta is None:
-        theta = md.root_phi_q(spec, q)
-    key = (spec, q, qbar, branch, theta, anchor_end, cut, cfg)
+    key = (spec, q, qbar, branch, cfg)
     tbl = _CACHE.get(key)
     if tbl is None:
         with _CACHE_LOCK:
             tbl = _CACHE.get(key)
             if tbl is None:
-                tbl = ScaleTable(spec, q, qbar, branch, theta, anchor_end, cut, cfg)
+                tbl = ScaleTable(spec, q, qbar, branch, cfg)
                 if len(_CACHE) >= _CACHE_MAX:
                     del _CACHE[next(iter(_CACHE))]
                 _CACHE[key] = tbl
@@ -296,8 +287,8 @@ def _check_x(x):
 class _Resolved(NamedTuple):
     """One scale function at one parameter point: base**x on the power-function
     branch (``tbl`` is None; values are base**x bit for bit), else
-    exp(log_pref) times the table integral.  ``log`` takes one level or a 1-D
-    array of levels."""
+    exp(log_pref) times the table integral, refused with QuadratureError above
+    level _X_MAX.  ``log`` takes one level or a 1-D array of levels."""
 
     base: float = math.nan
     log_pref: float = 0.0
@@ -307,6 +298,8 @@ class _Resolved(NamedTuple):
         x = _check_x(x)
         if self.tbl is None:
             return x * math.log(self.base) + extra
+        if (x.max(initial=0) if isinstance(x, np.ndarray) else x) > _X_MAX:
+            raise QuadratureError(f"level above the table's cap {_X_MAX}", math.nan, math.nan)
         return self.log_pref + self.tbl.log_value(x, extra)
 
     def value(self, x) -> float:
@@ -350,7 +343,7 @@ def _endpoint(spec: md.ModelSpec, q: float, qbar: float) -> tuple[float, float, 
 
 
 def _resolve(spec: md.ModelSpec, q: float, qbar: float, branch: str, pref: float,
-             cfg: QuadConfig, theta: float | None = None) -> _Resolved:
+             cfg: QuadConfig) -> _Resolved:
     """The one branch decision of every scale function, from the exponent s
     of ``_endpoint``: the power function U^x for s <= 0 (refused on the upper
     chart), QuadratureError when the chart's last node, e^_LOG_U_END from the
@@ -366,7 +359,7 @@ def _resolve(spec: md.ModelSpec, q: float, qbar: float, branch: str, pref: float
         raise QuadratureError(f"integrand ~ u^({s:.3g}-1) decays too slowly at the root "
                               "for the chart", math.nan, lost)
     return _Resolved(log_pref=math.log(pref),
-                     tbl=_table(spec, q, qbar=qbar, branch=branch, theta=theta, cfg=cfg))
+                     tbl=_table(spec, q, qbar=qbar, branch=branch, cfg=cfg))
 
 
 def _phi_q(spec: md.ModelSpec, q: float, cfg: QuadConfig) -> _Resolved:
@@ -499,16 +492,20 @@ def phi_q_mu0_simplified(spec: md.ModelSpec, q: float, x: int,
         raise PreconditionError("simplified form needs mu = 0")
     x = _check_x(x)
     tbl = _phi_q(spec, q, cfg).tbl  # at mu = 0, phi_q = 0 < varphi: never the power branch
-    return 1.0 if x == 0 else x * math.exp(tbl.log_value(x - 1, weight=tbl.logw))
+    return 1.0 if x == 0 else x * math.exp(tbl.log_value(x - 1, tbl.log_absD))
 
 
 def phi_q_with_delimiter(spec: md.ModelSpec, q: float, x: int, theta: float,
                          cfg: QuadConfig = DEFAULT_CFG) -> float:
-    """Phi_q with the lower delimiter replaced by theta in (0, varphi); differs
-    from phi_q_fn by an x-independent factor only."""
+    """Phi_q with the lower delimiter replaced by theta in (0, varphi): the
+    x-independent shift Phi_q(x) exp(int_{phi_q}^theta gamma_q); varphi^x at the tie."""
     check_rate(q, "q", positive=True)
     varphi = _endpoint(spec, q, 0.0)[0]  # refuses the regimes that phi_q_fn refuses
-    x = _check_x(x)
     if not (0.0 < theta < varphi):
         raise DomainError("theta must lie in (0, varphi)")
-    return _resolve(spec, q, 0.0, "lower", q, cfg, theta).value(x)
+    r = _phi_q(spec, q, cfg)
+    if r.tbl is not None:
+        t_of = r.tbl.chart.t_of
+        r = r._replace(log_pref=r.log_pref + gk_adaptive(
+            r.tbl.gamma_t, t_of(r.tbl.theta), t_of(theta), 1e-15, 1e-13)[0][0])
+    return r.value(x)

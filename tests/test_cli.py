@@ -103,6 +103,15 @@ class TestPassageCommands:
         assert r.exit_code == 2
         assert r.stdout == ""
 
+    def test_mean_refuses_beyond_float_range(self, runner, tmp_path):
+        # E_1[T_0] = e^818: finite, but not as a float
+        path = tmp_path / "heavy.json"
+        md.dump_model(md.make_spec(md.OffspringLaw.tabular({0: 0.6, 2: 0.4}), 1.0,
+                                   md.ImmigrationLaw.tabular({1: 1.0}), 300.0), path)
+        r = _invoke(runner, ["passage", "mean", "--model", str(path), "--x", "1", "--a", "0"])
+        assert r.exit_code == 2
+        assert r.stdout == ""
+
     @pytest.mark.parametrize("model", ["m1", "m3"])
     def test_lt_refuses_unconverged_table(self, runner, model_dir, model):
         r = _invoke(runner, ["passage", "lt", "--model", str(model_dir / f"{model}.json"),

@@ -211,11 +211,50 @@ class TestMeans:
         with pytest.raises(PreconditionError):
             ps.mean_first_passage(m5, 1, 0)  # extinction not certain
 
+    @staticmethod
+    def _log_bd_mean(lam, p2, mu, x, a):
+        """log E_x[T_a] of the birth-death chain b(j) = lam p2 j + mu, d(j) = lam (1-p2) j:
+        the series sum_{y=a+1}^x sum_{k>=y} prod_{j=y}^{k-1} b(j) / prod_{j=y}^k d(j), in logs."""
+        terms = []
+        for y in range(a + 1, x + 1):
+            lt, k = -math.log(lam * (1.0 - p2) * y), y
+            peak = lt
+            while lt > peak - 60.0:
+                terms.append(lt)
+                lt += math.log(lam * p2 * k + mu) - math.log(lam * (1.0 - p2) * (k + 1))
+                peak, k = max(peak, lt), k + 1
+        top = max(terms)
+        return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+
+    @pytest.mark.parametrize("mu", [190.0, 250.0])
+    def test_mean_passage_near_float_max(self, mu):
+        # E_1[T_0] = e^516.6 at mu = 190: the inner weight passes e^500 on the way
+        spec = md.make_spec(md.OffspringLaw.tabular({0: 0.6, 2: 0.4}), 1.0,
+                            md.ImmigrationLaw.tabular({1: 1.0}), mu)
+        for x, a in ((1, 0), (5, 2)):
+            want = self._log_bd_mean(1.0, 0.4, mu, x, a)
+            assert want > 500.0
+            assert math.log(ps.mean_first_passage(spec, x, a)) == pytest.approx(want, abs=1e-10)
+
+    def test_mean_passage_beyond_float_range_refuses(self):
+        # E_1[T_0] = e^818 at mu = 300
+        spec = md.make_spec(md.OffspringLaw.tabular({0: 0.6, 2: 0.4}), 1.0,
+                            md.ImmigrationLaw.tabular({1: 1.0}), 300.0)
+        with pytest.raises(PreconditionError, match="exceeds floats"):
+            ps.mean_first_passage(spec, 1, 0)
+
     def test_mean_explosion(self, m4):
         assert ps.mean_explosion(m4, 1) == pytest.approx(1.92, rel=1e-10)
         cond = ps.mean_explosion(m4, 1) / ps.prob_explosion_before(m4, 1, 0)
         assert cond == pytest.approx(3.0, rel=1e-10)
         assert ps.mean_explosion(m4, 2) > 0.0
+
+    @pytest.mark.parametrize("x, want", [(1, 1.9199999999999999467), (2, 2.1333333333333333215),
+                                         (5, 1.4475728421384127287),
+                                         (50, 0.34756591248930694714)])
+    def test_mean_explosion_reference_values(self, m4, x, want):
+        # 40-digit quadrature of int_varphi^1 (w^x - varphi^x)/|D(w)| dw
+        assert ps.mean_explosion(m4, x) == pytest.approx(want, rel=1e-14)
 
     def test_mean_explosion_preconditions(self, m1, m5):
         with pytest.raises(PreconditionError):

@@ -62,6 +62,15 @@ class TestPhiQ:
                 b = sc.phi_q_mu0_simplified(m1, q, x)
                 assert a == pytest.approx(b, rel=1e-9)
 
+    def test_delimiter_builds_no_table(self, monkeypatch, m2):
+        # the delimiter shifts the Phi_q table: a new theta adds nothing to the cache
+        monkeypatch.setattr(sc, "_CACHE", {})
+        sc.phi_q_fn(m2, 2.0, 1)
+        tables = len(sc._CACHE)
+        for theta in (0.05, 0.15, 0.45):
+            sc.phi_q_with_delimiter(m2, 2.0, 3, theta)
+        assert len(sc._CACHE) == tables
+
     def test_delimiter_ratio_invariance(self, m1, m2):
         varphi = md.root_varphi(m1)
         r1 = sc.phi_q_fn(m1, 0.5, 2) / sc.phi_q_fn(m1, 0.5, 0)
@@ -248,7 +257,7 @@ def _reference_logw(tbl: sc.ScaleTable) -> np.ndarray:
         return float(quad.gk_adaptive(tbl.gamma_t, np.array([t0]), np.array([t1]),
                                       1e-15, 1e-13)[0][0])
 
-    theta_anchored = not (tbl.anchor_end or tbl.branch == "upper")
+    theta_anchored = not (tbl.differences or tbl.branch == "upper")
     if not theta_anchored:
         ja = npts - 1
     elif tbl.theta <= 0.0:
@@ -261,12 +270,14 @@ def _reference_logw(tbl: sc.ScaleTable) -> np.ndarray:
     logw = np.full(npts, -np.inf)
     logw[ja] = base
     left_sign = -1.0 if tbl.branch == "upper" else 1.0
-    best = -math.inf
+    # the right walk goes to the root: its cut is taken on the terms at level _X_MAX
+    best = best_x = -math.inf
     acc = base
     for i in range(ja, npts - 1):
         term0 = tbl.log_ts_w[i] + acc - tbl.log_absD[i]
-        best = max(best, term0)
-        if term0 < best - sc._LOG_CUT and i > ja + 8 and tbl.cut:
+        term_x = term0 + sc._X_MAX * tbl.logv[i]
+        best, best_x = max(best, term0), max(best_x, term_x)
+        if term_x < best_x - sc._LOG_CUT and i > ja + 8:
             break
         acc = acc - panel(t[i], t[i + 1])
         logw[i + 1] = acc
@@ -274,7 +285,7 @@ def _reference_logw(tbl: sc.ScaleTable) -> np.ndarray:
     for i in range(ja, 0, -1):
         term0 = tbl.log_ts_w[i] + acc - tbl.log_absD[i]
         best = max(best, term0)
-        if term0 < best - sc._LOG_CUT and i < ja - 8 and tbl.cut:
+        if term0 < best - sc._LOG_CUT and i < ja - 8:
             break
         acc = acc + left_sign * panel(t[i - 1], t[i])
         logw[i - 1] = acc
@@ -283,8 +294,8 @@ def _reference_logw(tbl: sc.ScaleTable) -> np.ndarray:
 
 class TestBatchedBuild:
     """Every fixture table that the warm passage benchmark prebuilds, the
-    end-anchored mean passage tables of m1 and m3, and the uncut mean
-    explosion table of m4."""
+    mean passage tables of m1 and m3, and the mean explosion table of m4, all
+    three tables of level differences."""
 
     def _tables(self, m1, m2, m3, m4, m5):
         tables = [sc._table(spec, q) for spec, qs in
@@ -295,8 +306,8 @@ class TestBatchedBuild:
                                          (m3, 1.5, 0.5), (m3, 1.0, 1.0))]
         tables += [sc._table(m4, q, branch="upper") for q in (1.0, 2.0)]
         tables.append(sc._table(m5, 0.0))
-        tables += [sc._table(spec, 0.0, anchor_end=True) for spec in (m1, m3)]
-        tables.append(sc._table(m4, 1.0, branch="upper", cut=False))
+        tables += [sc._table(spec, 0.0) for spec in (m1, m3)]
+        tables.append(sc._table(m4, 0.0, branch="upper"))
         return tables
 
     def test_logw_matches_sequential_ladder(self, m1, m2, m3, m4, m5):
@@ -305,7 +316,11 @@ class TestBatchedBuild:
             assert np.array_equal(np.isneginf(tbl.logw), np.isneginf(ref))
             fin = np.isfinite(ref)
             assert np.all(np.isfinite(tbl.logw) == fin)
-            assert np.max(np.abs(tbl.logw[fin] - ref[fin])) <= 1e-13
+            # 1e-13 on |logw| <= 200, which holds every node the x = 0 cut kept;
+            # the level-_X_MAX cut also keeps m5's nodes down to logw = -2970,
+            # where the running sums drift apart by 5e-16 relative
+            tol = np.maximum(1e-13, 5e-16 * np.abs(ref[fin]))
+            assert np.all(np.abs(tbl.logw[fin] - ref[fin]) <= tol)
             # refinement level and node count as built panel by panel
             assert (tbl.diagnostics.level, tbl.diagnostics.n_nodes) == (6, 769)
             assert tbl.diagnostics.achieved_error <= tbl.cfg.rel_tol
@@ -383,7 +398,7 @@ class TestMeanPassageTable:
         for x, a in ((1, 0), (2, 1), (8, 7), (24, 23), (24, 0), (40, 3)):
             want = _bd_mean_passage(lam, 0.75, 0.25, mu_up, x, a)
             assert ps.mean_first_passage(spec, x, a) == pytest.approx(want, rel=1e-12)
-        tbl = sc._table(spec, 0.0, anchor_end=True)
+        tbl = sc._table(spec, 0.0)
         assert tbl.diagnostics.level <= 6
         assert tbl.diagnostics.achieved_error <= sc.DEFAULT_CFG.rel_tol
 
@@ -427,6 +442,16 @@ class TestLogScaleFunctions:
         log_phi = sc.log_phi_fn(m2, 4.0, 2000)
         assert math.isfinite(log_phi) and log_phi < math.log(5e-324)
 
+    def test_levels_above_cap_refuse(self, m1, m2):
+        # the root side of a table is cut for levels up to _X_MAX only
+        assert math.isfinite(sc.log_phi_fn(m1, 0.5, sc._X_MAX))
+        for x in (sc._X_MAX + 1, np.array([0, sc._X_MAX + 1])):
+            with pytest.raises(QuadratureError, match="cap"):
+                sc.log_phi_fn(m1, 0.5, x)
+        # the power function has no table and no cap
+        want = (sc._X_MAX + 1) * math.log(md.root_varphi(m2))
+        assert sc.log_phi_fn(m2, 1.0, sc._X_MAX + 1) == want
+
     def test_log_value_of_empty_integrand(self, m1):
         assert sc._table(m1, 0.5).log_value(3, -np.inf) == -math.inf
 
@@ -469,7 +494,7 @@ class TestLevelArrays:
             self._same_as_scalar(lambda x: sc.log_phi_q_qbar_fn(m1, q, qbar, x))
 
     def test_end_anchored_kernel_rows(self, m1):
-        tbl = sc._table(m1, 0.0, anchor_end=True)
+        tbl = sc._table(m1, 0.0)
         x, a = np.array([5, 30, 30]), np.array([0, 29, 0])
         got = tbl.log_value(a, tbl.log_one_minus_pow(x - a))
         assert np.array_equal(got, [tbl.log_value(int(ai), tbl.log_one_minus_pow(int(xi - ai)))

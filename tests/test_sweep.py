@@ -7,11 +7,13 @@ the oracle within REL or refuse with a typed error; levels reach (900, 899),
 where Phi_q itself underflows.  The at-minimum law at x = 200 is checked the
 same way, entry by entry.  A second sweep holds the fixtures to 1e-10 next to
 the power-function tie and the edge of the band where the chart drops too
-much of the mass.
+much of the mass.  A third draws random birth-death chains up to q = 20 and
+level 1000, where the mass of Phi_q(x) moves to nodes near the root.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from bgwscale import model as md
@@ -135,3 +137,55 @@ def test_near_tie_matches_birth_death_or_refuses(request, monkeypatch, time_limi
                     assert exc.achieved_error > sc.DEFAULT_CFG.rel_tol, where
                 continue
             assert got == pytest.approx(want, rel=NEAR_TIE_REL, abs=0.0), where
+
+
+DEEP_REL = 1e-9
+DEEP_LEVELS = ((1, 0), (20, 0), (200, 150), (600, 0), (1000, 999))
+DEEP_CHAINS = 300
+
+
+def _deep_log_ratios(p2, lam, step, mu, q, top):
+    """log Phi_q(y)/Phi_q(y-1) for y = 1..1000, one row per chain: the backward
+    continued fraction of ``_log_steps``, started at y = top for all chains at once."""
+    up, down = lam * p2, lam * (1.0 - p2)
+    mu_up, mu_down = np.where(step == 1, mu, 0.0), np.where(step == -1, mu, 0.0)
+    b, d = up * top + mu_up, down * top + mu_down
+    s = q + b + d
+    r = (s - np.sqrt(s * s - 4.0 * b * d)) / (2.0 * b)
+    out = np.empty((1000, p2.size))
+    for y in range(top, 0, -1):
+        b, d = up * y + mu_up, down * y + mu_down
+        r = d / (q + b + d - b * r)
+        if y <= 1000:
+            out[y - 1] = r
+    return np.log(out).T
+
+
+def test_deep_levels_match_birth_death_or_refuse(time_limit):
+    """Random binary chains with no immigration, +1 immigration or -1 culling,
+    q log-uniform on [1e-3, 20]: every ratio Phi_q(x)/Phi_q(a) up to level 1000
+    is within DEEP_REL of the continued fraction, or the call refuses."""
+    rng = np.random.default_rng(1)
+    n = DEEP_CHAINS
+    p2, lam = rng.uniform(0.05, 0.9, n), rng.uniform(0.3, 3.0, n)
+    step = rng.integers(-1, 2, n)
+    mu = np.where(step != 0, rng.uniform(0.2, 3.0, n), 0.0)
+    q = np.exp(rng.uniform(math.log(1e-3), math.log(20.0), n))
+    xs = np.unique(DEEP_LEVELS)
+    with time_limit(5):
+        want = _deep_log_ratios(p2, lam, step, mu, q, 20000)
+        assert np.array_equal(want, _deep_log_ratios(p2, lam, step, mu, q, 80000))
+        served = 0
+        for i in range(n):
+            imm = md.ImmigrationLaw.tabular({int(step[i]): 1.0}) if step[i] else None
+            spec = md.make_spec(md.OffspringLaw.tabular({0: 1.0 - p2[i], 2: p2[i]}),
+                                lam[i], imm, mu[i])
+            try:
+                logs = dict(zip(xs.tolist(), sc.log_phi_fn(spec, q[i], xs)))
+            except REFUSALS:
+                continue
+            served += 1
+            for x, a in DEEP_LEVELS:
+                err = math.expm1(logs[x] - logs[a] - math.fsum(want[i, a:x]))
+                assert abs(err) <= DEEP_REL, (i, p2[i], lam[i], step[i], mu[i], q[i], x, a, err)
+    assert served > n // 2
