@@ -344,9 +344,10 @@ def root_varphi(spec: ModelSpec) -> float:
         return 1.0 - (1.0 - off.p0) ** (1.0 / (1.0 - off.alpha))
     if off.mean() <= 1.0:
         return 1.0
-    f = lambda z: off.pgf(z) - z
-    fp = lambda z: off.pgf_prime(z) - 1.0
-    return _bisect_newton(f, fp, _BRACKET_EPS, 1.0 - _BRACKET_EPS)
+    # p~(z) - z = (1 - z) g(z), and g(0) = p0 > 0 > g(1) = 1 - mean brackets the root
+    # even where p~(z) - z near 1 is below the rounding of the pgf
+    g = np.polynomial.Polynomial(-_deflate(np.r_[off.pmf[0], off.pmf[1] - 1.0, off.pmf[2:]], 1.0))
+    return float(_bisect_newton(g, g.deriv(), 0.0, 1.0))
 
 
 @lru_cache(maxsize=_ROOT_CACHE_MAX)

@@ -3,6 +3,8 @@
 Paths evolve by Gillespie stepping: in state x > a the holding time is
 exponential with rate lam*x + mu; the event is a branching death (probability
 lam*x/(lam*x+mu), x -> x - 1 + K) or an immigration/culling event (x -> x + J).
+One loop, ``_run_batch``, steps every path; a control policy is a refill to a
+fixed level after each jump, whose discounted immigrants are the path's cost.
 
 Randomness is counter-based: every uniform is a pure hash of
 (seed, path index, per-path event index, slot), so replications are
@@ -72,8 +74,9 @@ def _mix_int(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _u01(seed: int, path: np.ndarray, step: np.ndarray, slot: int) -> np.ndarray:
-    """Uniform(0,1) draws indexed by (seed, path, per-path step, slot)."""
+def _u01(seed: int, path: np.ndarray, step: np.ndarray | np.int64, slot: int) -> np.ndarray:
+    """Uniform(0,1) draws indexed by (seed, path, per-path step, slot); one integer
+    step broadcasts to every path."""
     c = np.uint64(_mix_int(seed * 0x9E3779B97F4A7C15 + slot * 0xD1B54A32D192ED03 + 0x2545F4914F6CDD1D))
     with np.errstate(over="ignore"):
         x = (path.astype(np.uint64) + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
@@ -178,16 +181,25 @@ class _BatchResult:
     jumps: np.ndarray
     pop: np.ndarray
     clock: np.ndarray
+    cost: np.ndarray
 
 
 def _run_batch(spec: md.ModelSpec, x0: int, a: int, cfg: SimConfig,
-               qclock: float | None = None) -> _BatchResult:
+               qclock: float | None = None,
+               refill: tuple[int, float] | None = None) -> _BatchResult:
+    """Paths from x0 until a, the threshold, the jump limit, or the first of the
+    horizon and an Exp(qclock) clock.  ``refill=(top, q)``: x0 is the level before
+    the t = 0 refill to top, every jump is refilled to top, reaching the floor a
+    raises, and ``cost`` sums the immigrants discounted at rate q."""
     # monotone-paths degeneracy is fine to simulate; only structural problems block
     problems = [p for p in md.validate(spec) if "nonincreasing" not in p]
     if problems:
         raise md.ModelError("invalid model: " + "; ".join(problems))
     a = check_level(a, "a")
-    x0 = check_level(x0, "x0", low=a)
+    x0 = check_level(x0, "x0", low=a if refill is None else 0)
+    top, q = refill or (x0, 0.0)
+    cost0 = max(top - x0, 0)  # the t = 0 immigrants seed each path's cost
+    x0 += cost0
     n = cfg.n_paths
     lam, mu = spec.lam, spec.mu
     off = _JumpSampler(spec.offspring)
@@ -201,6 +213,7 @@ def _run_batch(spec: md.ModelSpec, x0: int, a: int, cfg: SimConfig,
         jumps=np.zeros(n, dtype=np.int64),
         pop=np.full(n, x0, dtype=np.int64),
         clock=np.full(n, math.inf),
+        cost=np.full(n, float(cost0)),
     )
     pid = np.arange(n, dtype=np.int64)  # live path indices; rebound, never written
     if qclock is not None:
@@ -211,68 +224,72 @@ def _run_batch(spec: md.ModelSpec, x0: int, a: int, cfg: SimConfig,
         res.status[:] = HIT
         return res
 
-    # live working set
-    pop = res.pop.copy()
-    t = np.zeros(n)
-    area = np.zeros(n)
-    minlev = res.min_level.copy()
-    tmin = np.zeros(n)
-    steps = np.zeros(n, dtype=np.int64)
-    clock = res.clock.copy()
+    # live working set, updated in place between compactions; every live path
+    # has taken the same number of jumps, so the step counter is one scalar
+    pop, minlev, cost = res.pop.copy(), res.min_level.copy(), res.cost.copy()
+    t, area, tmin = np.zeros(n), np.zeros(n), np.zeros(n)
+    clock = np.minimum(res.clock, cfg.horizon)  # one test stops at the ring or the horizon
+    steps = np.int64(0)
 
-    def finalize(mask: np.ndarray, status: np.ndarray, time: np.ndarray, area: np.ndarray):
-        idx = pid[mask]
-        res.status[idx] = status[mask]
-        res.time[idx] = time[mask]
-        res.area[idx] = area[mask]
-        res.min_level[idx] = minlev[mask]
-        res.t_last_min[idx] = tmin[mask]
-        res.jumps[idx] = steps[mask]
-        res.pop[idx] = pop[mask]
+    def retire(stop: np.ndarray, status: np.ndarray, time: np.ndarray, area_then: np.ndarray):
+        """Record the stopped paths and drop them from the live set."""
+        nonlocal pid, pop, t, area, minlev, tmin, cost, clock
+        gone, live = np.flatnonzero(stop), np.flatnonzero(~stop)
+        idx = pid[gone]
+        res.status[idx] = status[gone]
+        res.time[idx] = time[gone]
+        res.area[idx] = area_then[gone]
+        res.min_level[idx] = minlev[gone]
+        res.t_last_min[idx] = tmin[gone]
+        res.jumps[idx] = steps
+        res.pop[idx] = pop[gone]
+        res.cost[idx] = cost[gone]
+        pid, pop, t, area, minlev, tmin, cost, clock = (
+            arr[live] for arr in (pid, pop, t, area, minlev, tmin, cost, clock))
+        return live
 
     while pid.size:
-        rate = lam * pop.astype(float) + mu
-        u0 = _u01(cfg.seed, pid, steps, 0)
-        hold = -np.log(u0) / rate
-        t_next = t + hold
+        rate = lam * pop
+        if mu > 0.0:
+            rate += mu
+        t_next = t - np.log(_u01(cfg.seed, pid, steps, 0)) / rate
 
-        ringing = t_next >= clock
-        stop = ringing | (t_next >= cfg.horizon)
+        stop = t_next >= clock
         if np.any(stop):
-            t_stop = np.where(ringing, clock, cfg.horizon)
-            finalize(stop, np.where(ringing, CLOCK_RING, CENSORED), t_stop,
-                     area + pop * (t_stop - t))
-            live = ~stop
-            pid, pop, t, area, minlev, tmin, steps, clock, t_next, rate = (
-                arr[live] for arr in (pid, pop, t, area, minlev, tmin, steps, clock, t_next, rate))
+            t_next = t_next[retire(stop, np.where(clock < cfg.horizon, CLOCK_RING, CENSORED),
+                                   clock, area + pop * (clock - t))]
 
-        area = area + pop * (t_next - t)
+        area += pop * (t_next - t)
         t = t_next
         u2 = _u01(cfg.seed, pid, steps, 2)
         if mu > 0.0:
-            branching = _u01(cfg.seed, pid, steps, 1) < lam * pop / rate
+            births = lam * pop
+            branching = _u01(cfg.seed, pid, steps, 1) < births / (births + mu)
+            jump = np.empty(pid.size, dtype=np.int64)
+            if np.any(branching):
+                jump[branching] = off.draw(u2[branching]) - 1
+            if not np.all(branching):
+                jump[~branching] = imm.draw(u2[~branching])
         else:
-            branching = np.ones(pid.size, dtype=bool)
-        steps = steps + 1
-        jump = np.empty(pid.size, dtype=np.int64)
-        if np.any(branching):
-            jump[branching] = off.draw(u2[branching]) - 1
-        if mu > 0.0 and not np.all(branching):
-            jump[~branching] = imm.draw(u2[~branching])
-        pop = np.minimum(pop + jump, np.int64(2 * _K_CAP))
+            jump = off.draw(u2) - 1
+        steps += 1
+        pop += jump
+        np.minimum(pop, 2 * _K_CAP, out=pop)
+        if refill is not None:
+            immigrants = np.maximum(top - pop, 0)
+            pop += immigrants
+            cost += immigrants * np.exp(-q * t)
 
         lower = pop < minlev
-        minlev = np.where(lower, pop, minlev)
-        tmin = np.where(lower, t, tmin)
+        np.copyto(minlev, pop, where=lower)
+        np.copyto(tmin, t, where=lower)
 
         hit, exceeded = pop <= a, pop >= cfg.explosion_threshold
+        if refill is not None and np.any(hit):
+            raise AdmissibilityError("policy let the population reach the floor")
         stop = hit | exceeded | (steps >= cfg.max_jumps)
         if np.any(stop):
-            finalize(stop, np.where(hit, HIT, np.where(exceeded, THRESHOLD, CENSORED)),
-                     t, area)
-            live = ~stop
-            pid, pop, t, area, minlev, tmin, steps, clock = (
-                arr[live] for arr in (pid, pop, t, area, minlev, tmin, steps, clock))
+            retire(stop, np.where(hit, HIT, np.where(exceeded, THRESHOLD, CENSORED)), t, area)
     return res
 
 
@@ -385,69 +402,21 @@ def simulate_controlled(problem, policy, x0: int, cfg: SimConfig) -> Estimate:
     spec = problem.spec
     fl, q = problem.floor, problem.q
     md.require_valid(spec)
-    lam = spec.lam
-    off = _JumpSampler(spec.offspring)
 
     kind, par = policy if isinstance(policy, tuple) and len(policy) == 2 else (policy, None)
     if kind not in ("barrier", "topup"):
         raise DomainError(f"policy must be ('barrier' | 'topup', level), got {policy!r}")
     par = check_level(par, f"{kind} level")
-    if kind == "barrier":
-        if par < fl:
-            raise PreconditionError("barrier below the floor is inadmissible")
-        def immigrants(levels):
-            return np.maximum(par + 1 - levels, 0)
-    else:
-        def immigrants(levels):
-            return np.maximum(fl + par - levels, 0)
-    label = f"{kind}({par})"
+    if kind == "barrier" and par < fl:
+        raise PreconditionError("barrier below the floor is inadmissible")
+    top = par + 1 if kind == "barrier" else fl + par
 
     x0 = check_level(x0, "x0")
-    n = cfg.n_paths
-    horizon = cfg.horizon
-    if q > 0.0:
-        horizon = min(horizon, 50.0 / q)  # discount e^-50: remaining cost negligible
-    pop_cap = cfg.explosion_threshold
-
-    pid = np.arange(n, dtype=np.int64)
-    lev0 = np.full(n, x0, dtype=np.int64)
-    c0 = immigrants(lev0)
-    pop = lev0 + c0
-    if np.any(pop <= fl):
+    if max(x0, top) <= fl:
         raise AdmissibilityError("policy left the population at or below the floor at t=0")
-    cost = c0.astype(float)
-    t = np.zeros(n)
-    steps = np.zeros(n, dtype=np.int64)
-    total_cost = np.zeros(n)
-    censored = np.zeros(n, dtype=bool)
-
-    while pid.size:
-        rate = lam * pop.astype(float)
-        u0 = _u01(cfg.seed, pid, steps, 0)
-        hold = -np.log(u0) / rate
-        t_next = t + hold
-        over = t_next >= horizon
-        if np.any(over):
-            total_cost[pid[over]] = cost[over]
-            keep = ~over
-            pid, pop, t, cost, steps, t_next = (
-                arr[keep] for arr in (pid, pop, t, cost, steps, t_next))
-        t = t_next
-        u2 = _u01(cfg.seed, pid, steps, 2)
-        steps = steps + 1
-        k = off.draw(u2)
-        level_after = pop - 1 + k
-        im = immigrants(level_after)
-        newpop = level_after + im
-        if np.any(newpop <= fl):
-            raise AdmissibilityError("policy let the population reach the floor")
-        cost = cost + im * np.exp(-q * t)
-        pop = newpop
-
-        done = (pop >= pop_cap) | (steps >= cfg.max_jumps)
-        if np.any(done):
-            total_cost[pid[done]] = cost[done]
-            censored[pid[done]] = steps[done] >= cfg.max_jumps
-            keep = ~done
-            pid, pop, t, cost, steps = (arr[keep] for arr in (pid, pop, t, cost, steps))
-    return _estimate_from_weights(total_cost, censored, {"policy": label})
+    # discount e^-50 at the horizon: the remaining cost is negligible
+    horizon = min(cfg.horizon, 50.0 / q) if q > 0.0 else cfg.horizon
+    res = _run_batch(spec, x0, fl, replace(cfg, horizon=horizon), refill=(top, q))
+    # horizon stops are not censored; a threshold crossing at the last jump is
+    return _estimate_from_weights(res.cost, res.jumps >= cfg.max_jumps,
+                                  {"policy": f"{kind}({par})"})

@@ -167,6 +167,13 @@ class TestRoots:
         assert md.root_varphi(m2) == pytest.approx(0.5, abs=1e-13)
         assert md.root_varphi(m4) == pytest.approx(0.36, abs=1e-13)
 
+    @pytest.mark.parametrize("p2", [0.502, 0.505, 0.5022, 0.51])
+    def test_varphi_near_critical_binary(self, p2):
+        # p~(z) - z near z = 1 is below the pgf's rounding here; the root is p0/p2
+        spec = md.make_spec(md.OffspringLaw.tabular({0: 1.0 - p2, 2: p2}), 1.0)
+        want = (1.0 - p2) / p2
+        assert abs(md.root_varphi(spec) - want) <= 2 * math.ulp(want)
+
     def test_phi_q(self, m2, m3):
         # m2: r~(z) = 1/z, so mu(r~(z)-1) = q at z = 1/(1+q)
         assert md.root_phi_q(m2, 1.0) == pytest.approx(0.5, abs=1e-13)

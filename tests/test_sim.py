@@ -193,6 +193,17 @@ class TestEstimators:
         est = sim.estimate_lt_passage(m1, q, 1, 0, cfg)
         assert abs(p_clock - est.mean) <= 3 * math.hypot(se_clock, est.se)
 
+    def test_clock_past_horizon_is_censored(self, m3):
+        # a clock that would ring after the horizon is censored there, not reported as a ring
+        cfg = SimConfig(seed=3, n_paths=20_000, horizon=0.5, explosion_threshold=10**6)
+        res = sim.atmin_clock_sample(m3, 1.0, 3, cfg)
+        ring, censored = res.status == sim.CLOCK_RING, res.status == sim.CENSORED
+        assert ring.any() and censored.any()
+        assert np.all(res.time <= 0.5)
+        assert np.array_equal(res.time[ring], res.clock[ring])
+        assert np.all(res.time[censored] == 0.5) and np.all(res.clock[censored] >= 0.5)
+        assert np.array_equal(ring | censored, res.status != sim.HIT)
+
     def test_atmin_histogram_m3(self, m3):
         cfg = SimConfig(seed=20, n_paths=30000, explosion_threshold=10**6, max_jumps=10**6)
         res = sim.atmin_clock_sample(m3, 1.0, 3, cfg)
@@ -219,11 +230,16 @@ class TestDeterminism:
         assert a.mean != b.mean
 
     def test_path_streams_order_independent(self, m1):
-        # the same path index gives the same outcome regardless of batch size
-        small = sim._run_batch(m1, 2, 0, SimConfig(seed=7, n_paths=10))
-        big = sim._run_batch(m1, 2, 0, SimConfig(seed=7, n_paths=50))
-        for name in ("status", "time", "area", "min_level", "t_last_min", "jumps", "pop"):
-            assert np.array_equal(getattr(small, name), getattr(big, name)[:10]), name
+        # the same path index gives the same outcome regardless of batch size, free
+        # or refilled to 1 (barrier(0), discounted at 0.5)
+        for x0, horizon, refill in ((2, math.inf, None), (0, 20.0, (1, 0.5))):
+            small = sim._run_batch(m1, x0, 0, SimConfig(seed=7, n_paths=10, horizon=horizon),
+                                   refill=refill)
+            big = sim._run_batch(m1, x0, 0, SimConfig(seed=7, n_paths=50, horizon=horizon),
+                                 refill=refill)
+            for name in ("status", "time", "area", "min_level", "t_last_min", "jumps", "pop",
+                         "cost"):
+                assert np.array_equal(getattr(small, name), getattr(big, name)[:10]), name
 
     def test_negative_seed(self, m3):
         cfg = SimConfig(seed=-3, n_paths=3000, explosion_threshold=10**5)
@@ -280,6 +296,34 @@ class TestControlled:
         cfg = SimConfig(seed=26, n_paths=20000, explosion_threshold=300)
         est = sim.simulate_controlled(prob, ("barrier", 0), 1, cfg)
         assert _dev(est, 1.0) <= 3.0
+
+    # exact bits at seed 5, 3 000 paths, m1 at floor 0 and q = 0.5 unless a case says
+    # otherwise: (name, fixture, floor, q, policy, x0, SimConfig fields, mean, se, censored)
+    PINNED = [
+        ("topup2", "m1", 0, 0.5, ("topup", 2), 1, {},
+         "0x1.bb4182f9216e4p+1", "0x1.77919a9993ca4p-6", 0.0),
+        ("barrier1_from0", "m1", 0, 0.5, ("barrier", 1), 0, {},
+         "0x1.1da0c17c90b71p+2", "0x1.77919a9993ca4p-6", 0.0),
+        ("floor2_barrier3_from0", "m1", 2, 0.5, ("barrier", 3), 0, {},
+         "0x1.1438dd3dacfa2p+3", "0x1.10b03b9de3ca0p-5", 0.0),
+        ("barrier0_max_jumps40", "m1", 0, 0.5, ("barrier", 0), 1, {"max_jumps": 40},
+         "0x1.4f49b6c19845ap+0", "0x1.050f271f0d627p-6", 1.0),
+        ("barrier0_horizon7.5", "m1", 0, 0.5, ("barrier", 0), 1, {"horizon": 7.5},
+         "0x1.47dd6a3720cefp+0", "0x1.04d2193ae69a8p-6", 0.0),
+        ("q0_supercritical", "m2prime", 0, 0.0, ("barrier", 0), 1, {"explosion_threshold": 300},
+         "0x1.07ae147ae147bp+0", "0x1.b2f88e9712bf3p-6", 0.0),
+    ]
+
+    @pytest.mark.parametrize("name, fixture, floor, q, policy, x0, fields, mean, se, censored",
+                             PINNED, ids=[case[0] for case in PINNED])
+    def test_pinned_bits(self, request, name, fixture, floor, q, policy, x0, fields,
+                         mean, se, censored):
+        # t = 0 cost, topup, floors above 0, censoring and horizon stops, which the
+        # benchmark fingerprint (barrier(0) from 1 only) does not reach
+        prob = ctl.ControlProblem(request.getfixturevalue(fixture), floor, q)
+        est = sim.simulate_controlled(prob, policy, x0, SimConfig(seed=5, n_paths=3000, **fields))
+        assert (est.mean.hex(), est.se.hex(), est.censored_fraction) == (mean, se, censored)
+        assert est.diagnostics == {"policy": f"{policy[0]}({policy[1]})"}
 
 
 class TestTiltedSimulation:

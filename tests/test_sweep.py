@@ -142,6 +142,9 @@ def test_near_tie_matches_birth_death_or_refuses(request, monkeypatch, time_limi
 DEEP_REL = 1e-9
 DEEP_LEVELS = ((1, 0), (20, 0), (200, 150), (600, 0), (1000, 999))
 DEEP_CHAINS = 300
+#: (p2, lam, step, mu, q) appended to the random chains and required to be served:
+#: supercritical within 1% of critical, where varphi once came out as the bracket end
+DEEP_PINNED = ((0.5022, 1.33, 1, 0.414, 0.445),)
 
 
 def _deep_log_ratios(p2, lam, step, mu, q, top):
@@ -171,18 +174,21 @@ def test_deep_levels_match_birth_death_or_refuse(time_limit):
     step = rng.integers(-1, 2, n)
     mu = np.where(step != 0, rng.uniform(0.2, 3.0, n), 0.0)
     q = np.exp(rng.uniform(math.log(1e-3), math.log(20.0), n))
+    p2, lam, step, mu, q = (np.r_[col, pinned] for col, pinned in
+                            zip((p2, lam, step, mu, q), zip(*DEEP_PINNED)))
     xs = np.unique(DEEP_LEVELS)
     with time_limit(5):
         want = _deep_log_ratios(p2, lam, step, mu, q, 20000)
         assert np.array_equal(want, _deep_log_ratios(p2, lam, step, mu, q, 80000))
         served = 0
-        for i in range(n):
+        for i in range(p2.size):
             imm = md.ImmigrationLaw.tabular({int(step[i]): 1.0}) if step[i] else None
             spec = md.make_spec(md.OffspringLaw.tabular({0: 1.0 - p2[i], 2: p2[i]}),
                                 lam[i], imm, mu[i])
             try:
                 logs = dict(zip(xs.tolist(), sc.log_phi_fn(spec, q[i], xs)))
             except REFUSALS:
+                assert i < n, ("pinned chain refused", p2[i], lam[i], step[i], mu[i], q[i])
                 continue
             served += 1
             for x, a in DEEP_LEVELS:
