@@ -15,6 +15,11 @@ and the analytic heavy-tailed families
 * immigration ``sibuya(alpha)``:         pgf(z) = 1-(1-z)**alpha, no culling
 
 which cover every fixture used in the tests without a symbolic engine.
+
+The roots varphi_qbar, phi_q and phi have one solver, ``_root``: each function
+is convex or concave, so Newton's method from the end where f f'' > 0 moves
+monotonically to the root and stops there, with no tolerance.  varphi and phi
+solve (p~(z) - z)/(1 - z) and z(r~(z) - 1)/(1 - z), which keep their digits near 1.
 """
 
 from __future__ import annotations
@@ -109,6 +114,12 @@ class _JumpLaw:
         up = sum(k * p for k, p in enumerate(self.pmf[1 - self.lo:], start=1))
         return float(up - sum(self.pmf[:-self.lo]))  # k = -1 contributes -pi_-1
 
+    def _deflated_gap(self) -> np.ndarray:
+        """Coefficients of Q(v) = (P(v) - v)/(1 - v), P(v) = sum_i pmf[i] v^i (p~ for
+        offspring, v r~(v) for immigration; tabular only).  Q_0 = pmf[0] and
+        Q_j = -sum_{i>j} pmf[i] are sums of one sign, so none cancels."""
+        return np.r_[self.pmf[0], -np.cumsum(self.pmf[:1:-1])[::-1]]
+
     def pmf_terms(self, kmax: int) -> np.ndarray:
         """pi_k for k = lo..kmax (exact for tabular, recursion for a Sibuya mixture)."""
         out = np.zeros(kmax + 1 - self.lo)
@@ -189,14 +200,8 @@ class ImmigrationLaw(_JumpLaw):
             out = d_one**self.alpha
         else:
             # v*(1-r~(v)) = v - r_-1 - sum_k r_k v^{k+1} has a root at v=1.
-            out = -d_one * np.polynomial.polynomial.polyval(v, self._deflated_sv()) / v
+            out = -d_one * np.polynomial.polynomial.polyval(v, self._deflated_gap()) / v
         return float(out) if out.ndim == 0 else out
-
-    def _deflated_sv(self) -> np.ndarray:
-        # s(v) = v - r_-1 - sum_{k>=1} r_k v^{k+1} = (v-1) T(v); return T's coefficients.
-        coeffs = 0.0 - np.asarray(self.pmf, dtype=float)
-        coeffs[1] = 1.0
-        return _deflate(coeffs, 1.0)
 
 
 def _deflate(coeffs: np.ndarray, root: float) -> np.ndarray:
@@ -299,39 +304,29 @@ def require_valid(spec: ModelSpec) -> None:
 # Roots
 # ---------------------------------------------------------------------------
 
+#: Left end of the phi_q and varphi_qbar brackets (pgf refuses z <= 0).
 _BRACKET_EPS = 1e-14
-_ROOT_TOL = 1e-13  # bracket width at which the bisection hands over to Newton
 
 
-def _bisect_newton(f, fprime, lo: float, hi: float) -> float:
-    """Root of f on [lo, hi] with f(lo) > 0 > f(hi): bisection then Newton polish."""
-    flo, fhi = f(lo), f(hi)
-    if flo <= 0.0:
-        return lo
-    if fhi >= 0.0:
-        return hi
-    for _ in range(200):
+def _root(f, fprime, lo: float, hi: float, convex: bool) -> float:
+    """Root of f on [lo, hi], f(lo) > 0 > f(hi), with f convex or concave there.
+
+    Eight bisections, then Newton from the end where f f'' > 0 (lo if f is
+    convex, hi if concave), where f decreases.  By Fourier's condition the
+    iterates then move monotonically towards the root and never pass it, so a
+    step that does not move that way, or leaves the bracket, is rounding at
+    the root, as is a slope f' >= 0; a monotone sequence of floats stops.
+    """
+    for _ in range(8):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi or hi - lo < 0.25 * _ROOT_TOL:
-            break
-        fm = f(mid)
-        if fm > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    for _ in range(4):
+        lo, hi = (mid, hi) if f(mid) > 0.0 else (lo, mid)
+    x, way = (lo, 1.0) if convex else (hi, -1.0)
+    while True:
         d = fprime(x)
-        if d == 0.0:
-            break
-        step = f(x) / d
-        xn = x - step
-        if not (lo <= xn <= hi):
-            break
+        xn = x - f(x) / d if d < 0.0 else x
+        if not ((xn - x) * way > 0.0 and lo <= xn <= hi):
+            return x
         x = xn
-        if abs(step) < 1e-17 + 1e-16 * abs(x):
-            break
-    return x
 
 
 @lru_cache(maxsize=_ROOT_CACHE_MAX)
@@ -344,10 +339,11 @@ def root_varphi(spec: ModelSpec) -> float:
         return 1.0 - (1.0 - off.p0) ** (1.0 / (1.0 - off.alpha))
     if off.mean() <= 1.0:
         return 1.0
-    # p~(z) - z = (1 - z) g(z), and g(0) = p0 > 0 > g(1) = 1 - mean brackets the root
-    # even where p~(z) - z near 1 is below the rounding of the pgf
-    g = np.polynomial.Polynomial(-_deflate(np.r_[off.pmf[0], off.pmf[1] - 1.0, off.pmf[2:]], 1.0))
-    return float(_bisect_newton(g, g.deriv(), 0.0, 1.0))
+    # p~(z) - z = (1 - z) g(z), g = 1 - sum_k p_k (1 + z + ... + z^(k-1)) concave and
+    # decreasing from g(0) = p0 > 0 to g(1) = 1 - mean < 0, even where p~(z) - z near
+    # 1 is below the rounding of the pgf
+    g = np.polynomial.Polynomial(off._deflated_gap())
+    return float(_root(g, g.deriv(), 0.0, 1.0, convex=False))
 
 
 @lru_cache(maxsize=_ROOT_CACHE_MAX)
@@ -362,11 +358,11 @@ def root_phi_q(spec: ModelSpec, q: float) -> float:
     if q == 0.0:
         if imm.mean() <= 0.0:
             return 1.0
-        f = lambda z: imm.pgf(z) - 1.0
-    else:
-        f = lambda z: mu * (imm.pgf(z) - 1.0) - q
-    fp = lambda z: mu * imm.pgf_prime(z) if q > 0.0 else imm.pgf_prime(z)
-    return _bisect_newton(f, fp, _BRACKET_EPS, 1.0 - _BRACKET_EPS)
+        # r~(z) - 1 = (1 - z) T(z)/z, T concave and decreasing from r_-1 to -mean
+        T = np.polynomial.Polynomial(imm._deflated_gap())
+        return float(_root(T, T.deriv(), 0.0, 1.0, convex=False))
+    f = lambda z: -mu * imm.one_minus_pgf(z) - q
+    return _root(f, lambda z: mu * imm.pgf_prime(z), _BRACKET_EPS, 1.0, convex=True)
 
 
 @lru_cache(maxsize=_ROOT_CACHE_MAX)
@@ -380,7 +376,7 @@ def root_varphi_qbar(spec: ModelSpec, qbar: float) -> float:
     off = spec.offspring
     f = lambda z: lam * (off.pgf(z) - z) - qbar * z
     fp = lambda z: lam * (off.pgf_prime(z) - 1.0) - qbar
-    return _bisect_newton(f, fp, _BRACKET_EPS, 1.0 - _BRACKET_EPS)
+    return _root(f, fp, _BRACKET_EPS, 1.0, convex=True)
 
 
 def is_explosive(spec: ModelSpec) -> bool:

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import model as md
 from . import scale as sc
-from .errors import DomainError, PreconditionError, UnsupportedRegimeError, check_level, check_rate
+from .errors import PreconditionError, UnsupportedRegimeError, check_level, check_rate
 from .quad import DEFAULT_CFG, QuadConfig
 
 __all__ = [
@@ -81,10 +81,10 @@ def prob_explosion_before(spec: md.ModelSpec, x: int, a: int,
 
 def mean_first_passage(spec: md.ModelSpec, x: int, a: int,
                        cfg: QuadConfig = DEFAULT_CFG) -> float:
-    """P_x[T_a^-] when extinction is a.s. finite and phi < 1 (and a < x)."""
+    """P_x[T_a^-] when extinction is a.s. finite and phi < 1; 0 at x == a."""
     x, a = _check_levels(x, a)
-    if a >= x:
-        raise DomainError("need a < x")
+    if x == a:
+        return 0.0
     if not certain_extinction(spec):
         raise PreconditionError("mean_first_passage requires certain extinction")
     if spec.offspring.mean() >= 1.0:  # critical: the integrand ~ u^(-1-k), k >= 0, at v = 1

@@ -64,12 +64,11 @@ _WK = np.array([
     0.140653259715525, 0.104790010322250, 0.063092092629979,
     0.022935322010529,
 ])
-_WG = np.array([
+_WG = np.array([  # on the odd Kronrod abscissae _XK[1::2]
     0.129484966168870, 0.279705391489277, 0.381830050505119,
     0.417959183673469,
     0.381830050505119, 0.279705391489277, 0.129484966168870,
 ])
-_G_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 
 
 _BLOCK = 512  # panels per integrand call: bounds the working set of a level
@@ -97,8 +96,10 @@ def gk_panels(g: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndar
     # non-finite values only arise where endpoint distances underflowed,
     # i.e. where the true contribution is below representable size
     y[~np.isfinite(y)] = 0.0
-    k = rad * (y @ _WK)
-    err = np.abs(k - rad * (y[:, _G_IDX] @ _WG))
+    # einsum on y and its strided Gauss columns sums each row alone, so a panel's bits
+    # do not depend on the panels sharing the call (a BLAS product's order does)
+    k = rad * np.einsum("ij,j->i", y, _WK)
+    err = np.abs(k - rad * np.einsum("ij,j->i", y[:, 1::2], _WG))
     ok = (err <= np.fmax(abs_tol, rel_tol * np.abs(k))) | (rad < 1e-17 * (1 + np.abs(mid)))
     return k, err, ~ok
 

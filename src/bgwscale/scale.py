@@ -306,8 +306,8 @@ class _Resolved(NamedTuple):
         return self.base ** _check_x(x) if self.tbl is None else math.exp(self.log(x))
 
 
-#: |N(U)| within this share of q + mu(1 + r~(U)) is the tie N(U) = 0: it covers
-#: the roots' error (m2's varphi is 0.4999999999999999, so N = -4.4e-16 at q = 1)
+#: |N(U)| within this share of q + mu(1 + r~(U)) is the tie N(U) = 0 (exact on m2 at
+#: q = 1): it covers roots rounded on other chains, and q given at a regime floor
 _TIE_SHARE = 1e-12
 
 

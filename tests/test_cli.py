@@ -167,6 +167,16 @@ class TestPassageCommands:
                              "--x", "1", "--a", "0"])
         assert json.loads(r.stdout)["value"] == pytest.approx(4 * math.log(1.5), rel=1e-9)
 
+    def test_mean_range_from_a(self, runner, model_dir):
+        # x == a is the trivial mean 0, as in `simulate --kind mean`
+        r = _invoke(runner, ["passage", "mean", "--model", str(model_dir / "m1.json"),
+                             "--x", "0..3", "--a", "0"])
+        assert r.exit_code == 0
+        vals = json.loads(r.stdout)["value"]
+        assert vals["0"] == 0.0
+        assert vals["1"] == pytest.approx(4 * math.log(1.5), rel=1e-9)
+        assert vals["1"] < vals["2"] < vals["3"]
+
     def test_avalanche(self, runner, model_dir):
         r = _invoke(runner, ["passage", "avalanche", "--model", str(model_dir / "m1.json"),
                              "--q", "0", "--qbar", "1", "--x", "2", "--a", "0"])
@@ -193,6 +203,15 @@ class TestModelCommands:
         assert doc["criticality"] == "supercritical"
         assert doc["explosive"] is True
         assert doc["varphi"] == pytest.approx(0.36, abs=1e-12)
+
+    def test_classify_near_critical_culling(self, runner, tmp_path):
+        # r~(z) - 1 is below the pgf's rounding near phi = r_-1/r_1 ~ 0.996
+        path = tmp_path / "cull.json"
+        md.dump_model(md.make_spec(md.OffspringLaw.tabular({0: 0.75, 2: 0.25}), 1.0,
+                                   md.ImmigrationLaw.tabular({-1: 0.499, 1: 0.501}), 1.0), path)
+        r = _invoke(runner, ["model", "classify", "--model", str(path)])
+        phi = json.loads(r.stdout)["phi"]
+        assert abs(phi - 0.499 / 0.501) <= 4 * math.ulp(phi)
 
     def test_missing_file(self, runner):
         r = _invoke(runner, ["model", "classify", "--model", "/nonexistent.json"])

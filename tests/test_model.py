@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -208,6 +209,116 @@ class TestRoots:
             assert resid <= 10 * 1e-13 * max(1.0, abs(spec.offspring.pgf_prime(v)))
             grid = np.linspace(v * 0.02, v * 0.98, 17)
             assert np.all(spec.offspring.pgf(grid) > grid)
+
+
+def _ulps(got: float, want: Decimal) -> float:
+    """|got - want| in ulps of want rounded to a float."""
+    return float(abs(Decimal(got) - want) / Decimal(math.ulp(float(want))))
+
+
+def _small_root(rate: float, up: float, q: float, down: float) -> Decimal:
+    """Smaller root of rate*up*z^2 - (rate + q)*z + rate*down, to 40 digits: the
+    root of rate*(pgf(z) - z) = q*z for binary offspring (up = p2, down = p0), and
+    of rate*(r~(z) - 1) = q for {-1, 1} culling (up = r_1, down = r_-1)."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        rate, up, q, down = map(Decimal, (rate, up, q, down))
+        a, b, c = rate * up, rate + q, rate * down
+        return 2 * c / (b + (b * b - 4 * a * c).sqrt())
+
+
+def _sibuya_varphi(p0: float, alpha: float) -> Decimal:
+    """1 - (1-p0)^(1/(1-alpha)) to 40 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return 1 - (1 - Decimal(p0)) ** (1 / (1 - Decimal(alpha)))
+
+
+def _bisect(f, hi: float = 1.0) -> Decimal:
+    """Root of f on (0, hi) with f(0) > 0 > f(hi), bisected to 40 digits (call
+    under a 40-digit context; f maps Decimal to Decimal)."""
+    lo, hi = Decimal(0), Decimal(hi)
+    for _ in range(135):  # 2^-135 < 1e-40
+        z = (lo + hi) / 2
+        lo, hi = (z, hi) if f(z) > 0 else (lo, z)
+    return lo
+
+
+def _sibuya_varphi_qbar(p0: float, alpha: float, lam: float, qbar: float) -> Decimal:
+    """Root of lam*(pgf(z) - z) = qbar*z for sibuya_mix(p0, alpha), to 40 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        p0, alpha, lam, qbar = map(Decimal, (p0, alpha, lam, qbar))
+        return _bisect(lambda z: lam * (p0 + (1 - p0) * (1 - (1 - z) ** alpha) - z) - qbar * z)
+
+
+def _culling(r1: float, mu: float = 1.0) -> md.ModelSpec:
+    """Binary p2 = 1/4 offspring with {-1, 1} culling; r_-1 = 1 - r1 is exact for r1 >= 1/2."""
+    return md.make_spec(BINARY, 1.0, md.ImmigrationLaw.tabular({-1: 1.0 - r1, 1: r1}), mu)
+
+
+#: 1/2 + 10^-k, k = 1..9: r_1 (or p2) within 10^-k of critical, where phi (varphi) -> 1
+NEAR_CRITICAL = [0.5 + 10.0**-k for k in range(1, 10)]
+
+
+class TestRootAccuracy:
+    """Roots against 40-digit references; each bound is about twice the worst
+    error that model._root gives on these cases."""
+
+    @pytest.mark.parametrize("p2", NEAR_CRITICAL + [0.75, 0.9, 0.99])
+    def test_binary_varphi(self, p2):
+        spec = md.make_spec(md.OffspringLaw.tabular({0: 1.0 - p2, 2: p2}), 1.0)
+        assert _ulps(md.root_varphi(spec), Decimal(1.0 - p2) / Decimal(p2)) <= 1.0
+
+    @pytest.mark.parametrize("p0", [1e-4, 1e-3, 1e-2])
+    def test_small_p0_varphi(self, p0):
+        # g(0) = p0 is its own coefficient, not 1 - sum_{k>0} p_k, which cancels
+        pmf = {0: p0, 2: 0.5, 3: 0.5 - p0}
+        spec = md.make_spec(md.OffspringLaw.tabular(pmf), 1.0)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            law = {k: Decimal(p) for k, p in pmf.items()}
+            want = _bisect(lambda z: sum(p * z**k for k, p in law.items()) - z, 0.5)
+        assert _ulps(md.root_varphi(spec), want) <= 2.0
+
+    @pytest.mark.parametrize("r1", NEAR_CRITICAL + [0.75, 0.9, 0.99])
+    def test_culling_phi(self, r1):
+        # r~(z) - 1 near phi ~ 1 is below the rounding of the pgf when r1 is near 1/2
+        assert _ulps(md.root_phi_q(_culling(r1), 0.0), Decimal(1.0 - r1) / Decimal(r1)) <= 1.0
+
+    def test_classify_near_critical_culling(self):
+        spec = md.make_spec(BINARY, 1.0, md.ImmigrationLaw.tabular({-1: 0.499, 1: 0.501}), 1.0)
+        assert _ulps(md.classify(spec).phi, Decimal(0.499) / Decimal(0.501)) <= 1.0
+
+    @pytest.mark.parametrize("r1", NEAR_CRITICAL + [0.9, 0.5, 0.4, 0.1])
+    @pytest.mark.parametrize("mu", [0.5, 2.0])
+    @pytest.mark.parametrize("q", [1e-3, 1.0, 1e3])
+    def test_culling_phi_q(self, r1, mu, q):
+        got = md.root_phi_q(_culling(r1, mu), q)
+        assert _ulps(got, _small_root(mu, r1, q, 1.0 - r1)) <= 2.5
+
+    @pytest.mark.parametrize("p2", [0.1, 0.25, 0.5, 0.75, 0.9])
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    @pytest.mark.parametrize("qbar", [1e-3, 1.0, 1e3])
+    def test_binary_varphi_qbar(self, p2, lam, qbar):
+        spec = md.make_spec(md.OffspringLaw.tabular({0: 1.0 - p2, 2: p2}), lam)
+        want = _small_root(lam, p2, qbar, 1.0 - p2)
+        # near critical offspring and small qbar, pgf(z) - z cancels near the root
+        # 1 - sqrt(2 qbar/lam): the function's rounding, not the solver, sets the error
+        bound = 48.0 if p2 == 0.5 and qbar == 1e-3 else 2.5
+        assert _ulps(md.root_varphi_qbar(spec, qbar), want) <= bound
+
+    @pytest.mark.parametrize("p0,alpha", [(0.2, 0.5), (0.1, 0.3), (0.5, 0.8), (0.05, 0.5)])
+    def test_sibuya_varphi(self, p0, alpha):
+        spec = md.make_spec(md.OffspringLaw.sibuya_mix(p0, alpha), 1.0)
+        assert _ulps(md.root_varphi(spec), _sibuya_varphi(p0, alpha)) <= 5.0
+
+    @pytest.mark.parametrize("p0,alpha", [(0.2, 0.5), (0.1, 0.3), (0.05, 0.5)])
+    @pytest.mark.parametrize("lam,qbar", [(1.0, 1e-3), (1.0, 1.0), (2.0, 1e3)])
+    def test_sibuya_varphi_qbar(self, p0, alpha, lam, qbar):
+        spec = md.make_spec(md.OffspringLaw.sibuya_mix(p0, alpha), lam)
+        want = _sibuya_varphi_qbar(p0, alpha, lam, qbar)
+        assert _ulps(md.root_varphi_qbar(spec, qbar), want) <= 12.0
 
 
 class TestRegime:

@@ -206,8 +206,9 @@ class TestMeans:
         assert ps.mean_first_passage(m3, 1, 0) == pytest.approx(1.25, rel=1e-10)
 
     def test_preconditions(self, m1, m5):
+        assert ps.mean_first_passage(m1, 1, 1) == 0.0  # T_a^- = 0 from x = a
         with pytest.raises(DomainError):
-            ps.mean_first_passage(m1, 1, 1)
+            ps.mean_first_passage(m1, 1, 2)
         with pytest.raises(PreconditionError):
             ps.mean_first_passage(m5, 1, 0)  # extinction not certain
 

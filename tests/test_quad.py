@@ -120,6 +120,22 @@ class TestGaussKronrod:
             quad.gk_adaptive(g, edges[:-1], edges[1:], 1e-15, 1e-13)
         assert exc_info.value.estimate == pytest.approx(1.0, rel=1e-8)
 
+    def test_panel_values_independent_of_batch(self):
+        # a panel's K15 value and error estimate are the same bits whichever
+        # panels share its gk_panels call
+        def g(x):
+            return np.exp(x) + np.abs(x - 0.537)
+
+        edges = np.sort(np.random.default_rng(0).uniform(0.0, 2.0, 137))
+        lo, hi = edges[:-1], edges[1:]
+        alone = np.array([quad.gk_panels(g, lo[i:i + 1], hi[i:i + 1], 0.0, 1e-10)[:2]
+                          for i in range(len(lo))])[:, :, 0]
+        for n in range(1, 101):
+            for s in range(0, len(lo), n):
+                vals, err, _ = quad.gk_panels(g, lo[s:s + n], hi[s:s + n], 0.0, 1e-10)
+                assert np.array_equal(vals, alone[s:s + n, 0])
+                assert np.array_equal(err, alone[s:s + n, 1])
+
     def test_panels_across_blocks(self):
         edges = np.linspace(-3.0, 2.0, 1201)  # more panels than one block
         vals, _, fail = quad.gk_panels(np.sin, edges[:-1], edges[1:], 1e-15, 1e-13)
