@@ -204,17 +204,6 @@ class ImmigrationLaw(_JumpLaw):
         return float(out) if out.ndim == 0 else out
 
 
-def _deflate(coeffs: np.ndarray, root: float) -> np.ndarray:
-    """Synthetic division of an ascending-coefficient polynomial by (z - root)."""
-    n = len(coeffs)
-    q = np.zeros(n - 1)
-    acc = 0.0
-    for j in range(n - 1, 0, -1):
-        acc = coeffs[j] + root * acc
-        q[j - 1] = acc
-    return q
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Full chain specification.  Use :func:`make_spec` (or ``from_dict``) to build."""
@@ -478,80 +467,62 @@ def dump_model(spec: ModelSpec, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Stable gap evaluation near the deflating roots (used by the quadrature layer)
+# The branching gap, factored at its root (used by the quadrature layer)
 # ---------------------------------------------------------------------------
 
 class GapEvaluator:
-    """Evaluates D(v) = lam*(p~(v)-v) - qbar*v with full relative accuracy near
-    its root in (0,1] and near 1.
+    """D(v) = lam*(p~(v)-v) - qbar*v factored once at its root U = varphi_qbar
+    as D(v) = (v - U)^m Q(v), with m = 2 at the double root of critical
+    tabular offspring at qbar = 0 (U = 1), else m = 1.
 
-    The plain expression loses all precision once v is within ~1e-16 of the
-    root; tanh-sinh nodes get exponentially closer than that, so evaluation is
-    routed through a deflated factorization fed with the exact node-to-root
-    distance.
+    The plain expression loses all precision once v is within ~1e-16 of U;
+    tanh-sinh nodes get exponentially closer than that, so callers pass the
+    exact distances d_root = U - v and d_one = 1 - v, and D is read through
+    Q, which keeps its digits at U.  Q(U) is D'(U), or D''(1)/2 at m = 2.
     """
 
     def __init__(self, spec: ModelSpec, qbar: float = 0.0):
-        self.qbar = float(qbar)
-        self.lam = spec.lam
-        off = spec.offspring
-        self.root = root_varphi_qbar(spec, qbar)
-        self.kind = off.kind
-        if off.kind == "tabular":
-            coeffs = self.lam * np.asarray(off.pmf, dtype=float)
-            if len(coeffs) < 2:
-                coeffs = np.concatenate([coeffs, [0.0]])
-            coeffs = coeffs.copy()
-            coeffs[1] -= self.lam + self.qbar
-            self.double_root = (qbar == 0.0 and self.root == 1.0 and off.mean() == 1.0)
-            self.q1 = _deflate(coeffs, self.root)
-            self.q2 = _deflate(self.q1, self.root) if self.double_root else None
-        else:
-            self.double_root = False
-            self.ustar = 1.0 - self.root  # root in u = 1-v coordinates
-            self.p0 = off.p0
-            self.alpha = off.alpha
+        off, lam = spec.offspring, spec.lam
+        self.root = U = root_varphi_qbar(spec, qbar)
+        self.m = 2 if qbar == 0.0 and U == 1.0 and not off.alpha and off.mean() == 1.0 else 1
+        self._coef = None
+        if off.alpha:
+            # in u = 1 - v, with the root at us = 1 - U; us = 0 once U rounds to 1,
+            # where Q(U) = inf, as p~'(1) is
+            us = 1.0 - U
+            with np.errstate(divide="ignore"):
+                c = lam * (1.0 - off.p0) * np.float64(us) ** (off.alpha - 1.0)
+            self._sibuya = (lam, qbar, off.p0, off.alpha, us, c)
+            return
+        coef = lam * np.asarray(off.pmf + (0.0,) * (2 - len(off.pmf)), dtype=float)
+        coef[1] -= lam + qbar
+        for _ in range(self.m):
+            coef = np.polynomial.polynomial.polydiv(coef, [-U, 1.0])[0]
+        self._coef = coef
+
+    def quotient(self, v, d_root, d_one):
+        """Q(v) = D(v)/(v - U)^m, with d_root = U - v and d_one = 1 - v exact."""
+        if self._coef is not None:
+            return np.polynomial.polynomial.polyval(v, self._coef)
+        # Sibuya mixture: D = lam*(u - (1-p0) u^alpha) - qbar*(1-u) in u = 1 - v
+        # cancels only near the root, |d_root| <= us/2; there D(u) - D(us), with
+        # D(us) = 0, is expanded in x = d_root/us: Q = c*expm1(alpha log1p(x))/x
+        # - lam - qbar, c = lam (1-p0) us^(alpha-1), and alpha for the fraction at x = 0
+        lam, qbar, p0, a, us, c = self._sibuya
+        d_root, u = np.asarray(d_root, dtype=float), np.asarray(d_one, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = d_root / us
+            near = c * np.where(d_root == 0.0, a, np.expm1(a * np.log1p(x)) / x) - lam - qbar
+            direct = -(lam * (u - (1.0 - p0) * u**a) - qbar * (1.0 - u)) / d_root
+        return np.where(np.abs(d_root) <= 0.5 * us, near, direct)
 
     def ratio(self, num, v, d_root, d_one):
-        """num / D(v), with d_root and d_one as for :meth:`den`.
-
-        At a double root D = d_root**2 * q2(v) is never formed: it turns
-        subnormal near the root while num/d_root and d_root*q2(v) stay normal.
-        """
-        if self.double_root:
-            return num / d_root / (d_root * np.polynomial.polynomial.polyval(v, self.q2))
-        return num / self.den(v, d_root, d_one)
-
-    def den(self, v, d_root, d_one):
-        """D(v) near a simple root, with d_root = root - v (signed) and
-        d_one = 1 - v supplied exactly (use :meth:`ratio` at a double root)."""
-        v = np.asarray(v, dtype=float)
-        d_root = np.asarray(d_root, dtype=float)
-        if self.kind == "tabular":
-            return -d_root * np.polynomial.polynomial.polyval(v, self.q1)
-        # sibuya_mix: lam*(u - (1-p0) u^alpha) - qbar*(1-u), u = 1-v, root at ustar.
-        # The direct expression cancels only near the root (u ~ ustar); there,
-        # expand D(u) - D(ustar) with d_root = u - ustar carried exactly.
-        u = np.asarray(d_one, dtype=float)
-        lam, qbar, a, us = self.lam, self.qbar, self.alpha, self.ustar
-        delta = d_root
-        near = np.abs(delta) < 0.5 * us
-        safe = np.where(near, delta, 0.0)
-        pow_diff = us**a * np.expm1(a * np.log1p(safe / us))
-        expanded = (lam + qbar) * delta - lam * (1.0 - self.p0) * pow_diff
-        direct = lam * (u - (1.0 - self.p0) * u**a) - qbar * (1.0 - u)
-        return np.where(near, expanded, direct)
+        """num / D(v).  At m = 2, D = d_root**2 Q is never formed: it turns
+        subnormal near the root while num/d_root and d_root*Q stay normal."""
+        Q = self.quotient(v, d_root, d_one)
+        return num / d_root / (d_root * Q) if self.m == 2 else num / (-d_root * Q)
 
     def log_abs_den(self, v, d_root, log_abs_droot, d_one):
-        """log|D(v)|, with log|d_root| also supplied exactly.  Below |d_root| <
-        1e-250 the factored Sibuya den underflows; log|d_root| + log|D'(root)|
-        is exact there."""
-        if self.kind == "tabular":
-            coeffs, mult = (self.q2, 2.0) if self.double_root else (self.q1, 1.0)
-            vals = np.polynomial.polynomial.polyval(v, coeffs)
-            return mult * log_abs_droot + np.log(np.abs(vals))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            plain = np.log(np.abs(self.den(v, d_root, d_one)))
-        a, us = self.alpha, self.ustar
-        dprime = self.lam + self.qbar - self.lam * (1.0 - self.p0) * a * us ** (a - 1.0)
-        return np.where(np.abs(d_root) < 1e-250, log_abs_droot + math.log(abs(dprime)), plain)
+        """log|D(v)| = m log|d_root| + log|Q(v)|, with log|d_root| also supplied
+        exactly, so it stays finite where d_root**m underflows."""
+        return self.m * log_abs_droot + np.log(np.abs(self.quotient(v, d_root, d_one)))

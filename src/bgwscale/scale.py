@@ -84,7 +84,7 @@ class ScaleTable:
         # the delimiter, where logw vanishes: phi_q on lower tables of levels, else the right end
         self.theta = md.root_phi_q(spec, q) if branch == "lower" and s > 0.0 else self.high
         self.chart = TSMap(self.low, self.high)
-        self.gap = md.GapEvaluator(spec, qbar if branch == "lower" else 0.0)
+        self.gap = md.GapEvaluator(spec, qbar)
         self.diagnostics = KernelDiagnostics()
         self._refine()
 
@@ -315,14 +315,15 @@ _TIE_SHARE = 1e-12
 def _endpoint(spec: md.ModelSpec, q: float, qbar: float) -> tuple[float, float, float]:
     """(U, s, n) at rate q >= 0: the chart's root end U = varphi_qbar, the
     exponent s of the integrand ~ u^(s-1) as u = |v - U| -> 0, and n = N(U),
-    N = q + mu(1 - r~).  At a simple root s = n/|D'(U)|, and |n| within
+    N = q + mu(1 - r~).  Both read the gap D = (v - U)^m Q of
+    ``model.GapEvaluator``.  At a simple root s = n/|Q(U)|, and |n| within
     _TIE_SHARE of q + mu(1 + r~(U)) is the tie s = 0.  At the double root of
-    critical tabular offspring (qbar = 0, U = 1), D ~ lam p~''(1) u^2/2 and
-    N ~ q + mu r~'(1) u: s = inf for q > 0 or Sibuya immigration
-    (N ~ mu u^alpha), else s = 2 mu r~'(1)/(lam p~''(1)) - 1.  n below the
+    critical tabular offspring (m = 2, U = 1), D ~ Q(1) u^2 with Q(1) =
+    lam p~''(1)/2, and N ~ q + mu r~'(1) u: s = inf for q > 0 or Sibuya
+    immigration (N ~ mu u^alpha), else s = mu r~'(1)/|Q(1)| - 1.  n below the
     tie is the regime phi_q > varphi_qbar, which the paper leaves open."""
-    md.require_valid(spec)
-    U = md.root_varphi_qbar(spec, qbar)
+    gap = md.GapEvaluator(spec, qbar)
+    U = gap.root
     n = tol = q
     if spec.has_immigration:
         r = spec.immigration.pgf(U)
@@ -331,15 +332,14 @@ def _endpoint(spec: md.ModelSpec, q: float, qbar: float) -> tuple[float, float, 
     if n < -tol:
         raise UnsupportedRegimeError("phi_q <= varphi_qbar",
                                      f"N(varphi_qbar)={n!r} < 0; need q >= mu*(r~(varphi_qbar)-1)")
-    off = spec.offspring
-    if qbar == 0.0 and U == 1.0 and off.kind == "tabular" and off.mean() == 1.0:
+    slope = abs(float(gap.quotient(U, 0.0, 1.0 - U)))
+    if gap.m == 2:
         if q > 0.0 or spec.immigration.kind == "sibuya":
             return U, math.inf, n
-        curvature = float(sum(k * (k - 1) * p for k, p in enumerate(off.pmf)))
-        return U, 2.0 * spec.mu * spec.immigration.mean() / (spec.lam * curvature) - 1.0, n
+        return U, spec.mu * spec.immigration.mean() / slope - 1.0, n
     if abs(n) <= tol:
         return U, 0.0, n
-    return U, n / abs(spec.lam * (off.pgf_prime(U) - 1.0) - qbar), n
+    return U, n / slope, n
 
 
 def _resolve(spec: md.ModelSpec, q: float, qbar: float, branch: str, pref: float,

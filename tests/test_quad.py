@@ -155,9 +155,10 @@ class TestWeights:
     def test_rho_values(self, m1, m2, m4):
         # rho = |D(v)| = lam |p~(v) - v|
         for spec, v, want in ((m1, 0.5, 0.3125), (m2, 0.25, 0.375), (m4, 0.75, 0.15)):
-            d_root = md.root_varphi(spec) - v
-            den = md.GapEvaluator(spec).den(np.array([v]), np.array([d_root]), np.array([1.0 - v]))
-            assert abs(float(den[0])) == pytest.approx(want, abs=1e-14)
+            gap = md.GapEvaluator(spec)
+            d_root = gap.root - v
+            den = abs(d_root) ** gap.m * abs(float(gap.quotient(v, d_root, 1.0 - v)))
+            assert den == pytest.approx(want, abs=1e-14)
 
     def test_gamma_values(self, m1, m3):
         assert _gamma(m1, 0.5, 0.5) == pytest.approx(1.6, abs=1e-14)
