@@ -293,12 +293,8 @@ def require_valid(spec: ModelSpec) -> None:
 # Roots
 # ---------------------------------------------------------------------------
 
-#: Left end of the phi_q and varphi_qbar brackets (pgf refuses z <= 0).
-_BRACKET_EPS = 1e-14
-
-
 def _root(f, fprime, lo: float, hi: float, convex: bool) -> float:
-    """Root of f on [lo, hi], f(lo) > 0 > f(hi), with f convex or concave there.
+    """Root of f on [lo, hi], f(lo) >= 0 > f(hi), with f convex or concave there.
 
     Eight bisections, then Newton from the end where f f'' > 0 (lo if f is
     convex, hi if concave), where f decreases.  By Fourier's condition the
@@ -350,8 +346,10 @@ def root_phi_q(spec: ModelSpec, q: float) -> float:
         # r~(z) - 1 = (1 - z) T(z)/z, T concave and decreasing from r_-1 to -mean
         T = np.polynomial.Polynomial(imm._deflated_gap())
         return float(_root(T, T.deriv(), 0.0, 1.0, convex=False))
+    # r~(z) >= r_-1/z, so f >= 0 at the bracket's left end
     f = lambda z: -mu * imm.one_minus_pgf(z) - q
-    return _root(f, lambda z: mu * imm.pgf_prime(z), _BRACKET_EPS, 1.0, convex=True)
+    lo = mu * imm.r_minus1 / (mu + q)
+    return _root(f, lambda z: mu * imm.pgf_prime(z), lo, 1.0, convex=True)
 
 
 @lru_cache(maxsize=_ROOT_CACHE_MAX)
@@ -363,9 +361,10 @@ def root_varphi_qbar(spec: ModelSpec, qbar: float) -> float:
         return root_varphi(spec)
     lam = spec.lam
     off = spec.offspring
+    # p~(z) >= p0, so f >= 0 at the bracket's left end
     f = lambda z: lam * (off.pgf(z) - z) - qbar * z
     fp = lambda z: lam * (off.pgf_prime(z) - 1.0) - qbar
-    return _root(f, fp, _BRACKET_EPS, 1.0, convex=True)
+    return _root(f, fp, lam * off.prob0 / (lam + qbar), 1.0, convex=True)
 
 
 def is_explosive(spec: ModelSpec) -> bool:
