@@ -363,6 +363,9 @@ def root_varphi_qbar(spec: ModelSpec, qbar: float) -> float:
     off = spec.offspring
     # p~(z) >= p0, so f >= 0 at the bracket's left end
     f = lambda z: lam * (off.pgf(z) - z) - qbar * z
+    if not off.alpha:  # p~(z) - z = (1 - z) g(z), as in root_varphi: no cancellation near 1
+        g = np.polynomial.Polynomial(off._deflated_gap())
+        f = lambda z: lam * (1.0 - z) * g(z) - qbar * z
     fp = lambda z: lam * (off.pgf_prime(z) - 1.0) - qbar
     return _root(f, fp, lam * off.prob0 / (lam + qbar), 1.0, convex=True)
 

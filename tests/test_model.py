@@ -303,10 +303,30 @@ class TestRootAccuracy:
     def test_binary_varphi_qbar(self, p2, lam, qbar):
         spec = md.make_spec(md.OffspringLaw.tabular({0: 1.0 - p2, 2: p2}), lam)
         want = _small_root(lam, p2, qbar, 1.0 - p2)
-        # near critical offspring and small qbar, pgf(z) - z cancels near the root
-        # 1 - sqrt(2 qbar/lam): the function's rounding, not the solver, sets the error
-        bound = 48.0 if p2 == 0.5 and qbar == 1e-3 else 2.5
-        assert _ulps(md.root_varphi_qbar(spec, qbar), want) <= bound
+        assert _ulps(md.root_varphi_qbar(spec, qbar), want) <= 2.5
+
+    @pytest.mark.parametrize("lam", [1.0, 3.0])
+    @pytest.mark.parametrize("qbar", [1e-6, 1e-12, 1e-30, 1e-300])
+    def test_critical_binary_varphi_qbar(self, lam, qbar):
+        # the root 1 - sqrt(2 qbar/lam) of critical offspring, where pgf(z) - z
+        # cancels; the worst case here is 0.35 ulps (it was 7.5e-9 relative at
+        # qbar = 1e-300 and 5.0e-11 at 1e-12 when solved through pgf(z) - z)
+        spec = md.make_spec(md.OffspringLaw.tabular({0: 0.5, 2: 0.5}), lam)
+        assert _ulps(md.root_varphi_qbar(spec, qbar), _small_root(lam, 0.5, qbar, 0.5)) <= 0.5
+
+    @pytest.mark.parametrize("q", [1e13, 1e14, 1e16, 1e17, 1e20])
+    def test_phi_q_below_1e_14(self, m2, q):
+        # m2 culls only, r~(z) = 1/z, so phi_q = 1/(1 + q); the bracket starts at
+        # mu r_-1/(mu + q), not at a fixed 1e-14 where the root used to stop
+        with localcontext() as ctx:
+            ctx.prec = 40
+            assert _ulps(md.root_phi_q(m2, q), 1 / (1 + Decimal(q))) <= 1.0
+
+    @pytest.mark.parametrize("qbar", [1e13, 1e14, 1e16, 1e17, 1e20])
+    def test_varphi_qbar_below_1e_14(self, m2, qbar):
+        # lam (p0 + p2 z^2 - z) = qbar z on m2 (lam = 3, p2 = 2/3): the root ~ 1/qbar
+        want = _small_root(3.0, m2.offspring.pmf[2], qbar, m2.offspring.pmf[0])
+        assert _ulps(md.root_varphi_qbar(m2, qbar), want) <= 2.0
 
     @pytest.mark.parametrize("p0,alpha", [(0.2, 0.5), (0.1, 0.3), (0.5, 0.8), (0.05, 0.5)])
     def test_sibuya_varphi(self, p0, alpha):
