@@ -19,7 +19,14 @@ which cover every fixture used in the tests without a symbolic engine.
 The roots varphi_qbar, phi_q and phi have one solver, ``_root``: each function
 is convex or concave, so Newton's method from the end where f f'' > 0 moves
 monotonically to the root and stops there, with no tolerance.  varphi and phi
-solve (p~(z) - z)/(1 - z) and z(r~(z) - 1)/(1 - z), which keep their digits near 1.
+solve g(z) = (p~(z) - z)/(1 - z) and z(r~(z) - 1)/(1 - z), which keep their digits
+near 1, and varphi_qbar of tabular offspring solves lam (1 - z) g(z) = qbar z.
+The phi_q and varphi_qbar brackets start at closed-form lower bounds,
+mu r_-1/(mu + q) and lam p0/(lam + qbar).
+
+The branching gap D(v) = lam (p~(v) - v) - qbar v is factored once at its root
+U = varphi_qbar as (v - U)^m Q(v) (``GapEvaluator``): tables evaluate D near
+U through Q, and the endpoint exponent of every scale function reads m and Q(U).
 """
 
 from __future__ import annotations

@@ -482,19 +482,6 @@ def harmonic_residual(spec: md.ModelSpec, q: float, qbar: float, f: str, x: int,
     return abs(lhs - sp - sr) / max(lhs, sp + sr)
 
 
-# internal alternates used by property tests -------------------------------
-
-def phi_q_mu0_simplified(spec: md.ModelSpec, q: float, x: int,
-                         cfg: QuadConfig = DEFAULT_CFG) -> float:
-    """Integration-by-parts form valid for mu = 0:
-    Phi_q(x) = delta_{x0} + x int_0^varphi v^{x-1} exp{-int_0^v gamma_q} dv."""
-    if spec.has_immigration:
-        raise PreconditionError("simplified form needs mu = 0")
-    x = _check_x(x)
-    tbl = _phi_q(spec, q, cfg).tbl  # at mu = 0, phi_q = 0 < varphi: never the power branch
-    return 1.0 if x == 0 else x * math.exp(tbl.log_value(x - 1, tbl.log_absD))
-
-
 def phi_q_with_delimiter(spec: md.ModelSpec, q: float, x: int, theta: float,
                          cfg: QuadConfig = DEFAULT_CFG) -> float:
     """Phi_q with the lower delimiter replaced by theta in (0, varphi): the

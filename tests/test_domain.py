@@ -39,15 +39,13 @@ REFUSED = [
     ("psi_q_fn q=inf", lambda m1, m4: sc.psi_q_fn(m4, INF, 1), DomainError),
     ("phi_fn q=nan", lambda m1, m4: sc.phi_fn(m1, NAN, 1), DomainError),
     ("phi_fn q=inf", lambda m1, m4: sc.phi_fn(m1, INF, 1), DomainError),
-    # the alternate Phi_q forms check q and the regime before building a table
+    # the delimiter form checks q and the regime before building a table
     ("phi_q_with_delimiter phi_q>varphi",
      lambda m1, m4: sc.phi_q_with_delimiter(CULLED, 1.0, 1, 1 / 6), UnsupportedRegimeError),
     ("phi_q_with_delimiter q=nan",
      lambda m1, m4: sc.phi_q_with_delimiter(CULLED, NAN, 1, 1 / 6), DomainError),
     ("phi_q_with_delimiter q=-1",
      lambda m1, m4: sc.phi_q_with_delimiter(CULLED, -1.0, 1, 1 / 6), DomainError),
-    ("phi_q_mu0_simplified q=nan", lambda m1, m4: sc.phi_q_mu0_simplified(m1, NAN, 1), DomainError),
-    ("phi_q_mu0_simplified q=-1", lambda m1, m4: sc.phi_q_mu0_simplified(m1, -1.0, 1), DomainError),
     ("lt_first_passage q=nan", lambda m1, m4: ps.lt_first_passage(m1, NAN, 2, 0), DomainError),
     ("lt_first_passage q=inf", lambda m1, m4: ps.lt_first_passage(m1, INF, 2, 0), DomainError),
     ("ControlProblem q=nan", lambda m1, m4: ctl.ControlProblem(m1, 0, NAN), DomainError),

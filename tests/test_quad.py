@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -177,6 +178,109 @@ class TestWeights:
         # only, such as m4 (varphi = 0.36)
         for v in (0.45, 0.9):
             assert _gamma(m4, 2.0, v, upper=True) > 0.0
+
+
+def _sibuya_log_abs_gap(gap, off, lam, qbar, d_root, d_one) -> np.ndarray:
+    """log|D| of a Sibuya mixture at chart nodes, from 34-digit decimals of
+    the exact distances: lam (u - (1-p0) u^alpha) - qbar (1-u) at u = d_one,
+    and near the root, |d_root| <= us/2 with us = 1 - U, the expansion
+    (lam + qbar) delta - lam (1-p0) us^alpha ((1 + delta/us)^alpha - 1),
+    delta = d_root, because tables take D(U) = 0."""
+    with localcontext() as ctx:
+        ctx.prec = 34
+        p0, a, lam, qbar, us = map(Decimal, (off.p0, off.alpha, lam, qbar, 1.0 - gap.root))
+        c = lam * (1 - p0)
+        c_us = c * (a * us.ln()).exp()
+        out = []
+        for dr, u in zip(d_root.tolist(), d_one.tolist()):
+            delta = Decimal(dr)
+            if abs(delta) <= us / 2:
+                x = delta / us
+                if abs(x) < Decimal("1e-10"):  # the binomial series, to 1e-40
+                    pow_diff = a * x * (1 + (a - 1) / 2 * x * (1 + (a - 2) / 3 * x
+                                                               * (1 + (a - 3) / 4 * x)))
+                else:
+                    pow_diff = (a * (1 + x).ln()).exp() - 1
+                D = (lam + qbar) * delta - c_us * pow_diff
+            else:
+                u = Decimal(u)
+                D = lam * u - c * (a * u.ln()).exp() - qbar * (1 - u)
+            f = float(D)  # log|D| = log|f| + log(D/f), with D/f within an ulp of 1
+            out.append(math.log(abs(f)) + float(D / Decimal(f) - 1))
+    return np.array(out)
+
+
+def _chart_nodes(gap, upper: bool):
+    """(v, d_root, log|d_root|, d_one) on the level-6 nodes of the chart (0, U)
+    or (U, 1), as ScaleTable passes them."""
+    chart = quad.TSMap(gap.root, 1.0) if upper else quad.TSMap(0.0, gap.root)
+    p = chart.points(np.arange(-384, 385) / 64.0)
+    return (p.v, -p.da, p.log_da, p.db) if upper else (p.v, p.db, p.log_db, 1.0 - p.v)
+
+
+#: m4 and twenty seeded Sibuya mixtures (offspring law, lam, qbar > 0)
+_RNG = np.random.default_rng(2025)
+SIBUYA_GAPS = [(md.OffspringLaw.sibuya_mix(0.2, 0.5), 1.0, 0.5)] + [
+    (md.OffspringLaw.sibuya_mix(_RNG.uniform(0.05, 0.8), _RNG.uniform(0.1, 0.9)),
+     _RNG.uniform(0.3, 3.0), math.exp(_RNG.uniform(math.log(1e-3), math.log(10.0))))
+    for _ in range(20)]
+
+
+class TestGap:
+    """The branching gap D(v) = (v - U)^m Q(v) of model.GapEvaluator."""
+
+    def test_sibuya_log_abs_den(self):
+        # every node of both charts, at qbar = 0 and qbar > 0, down to |d_root|
+        # ~ e^-634; bound about twice the worst error (8.0e-16)
+        tiny = 0
+        for off, lam, qbar in SIBUYA_GAPS:
+            spec = md.make_spec(off, lam)
+            for qb in (0.0, qbar):
+                gap = md.GapEvaluator(spec, qb)
+                for upper in (False, True):
+                    v, d_root, log_abs_droot, d_one = _chart_nodes(gap, upper)
+                    got = gap.log_abs_den(v, d_root, log_abs_droot, d_one)
+                    want = _sibuya_log_abs_gap(gap, off, lam, qb, d_root, d_one)
+                    err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+                    assert np.max(err) <= 1.6e-15, (off, lam, qb, upper)
+                    tiny += int(np.sum(np.abs(d_root) < 1e-250))
+        assert tiny > 500
+
+    def test_double_root_ratio(self):
+        # critical binary at lam = 1: D(v) = (1 - v)^2/2, so Q = 1/2 and m = 2;
+        # num = d_root gives 2/d_root, finite where d_root^2 underflows
+        spec = md.make_spec(md.OffspringLaw.tabular({0: 0.5, 2: 0.5}), 1.0)
+        gap = md.GapEvaluator(spec)
+        assert (gap.root, gap.m) == (1.0, 2)
+        for d in (1e-100, 1.4e-154, 1e-200, 1e-300):
+            got = gap.ratio(d, 1.0, d, d)
+            assert math.isfinite(got) and got == pytest.approx(2.0 / d, rel=1e-15)
+            assert gap.log_abs_den(1.0, d, math.log(d), d) == pytest.approx(
+                2.0 * math.log(d) - math.log(2.0), rel=1e-15)
+
+    @pytest.mark.parametrize("q", [0.5, 1.5, 2.0, 4.0])
+    def test_endpoint_exponent_simple_root(self, m1, m2, m3, q):
+        # s = N(U)/|Q(U)|: 2q on m1, q on m3, q - 1 on m2 (phi_q > varphi below q = 1)
+        assert sc._endpoint(m1, q, 0.0)[1] == pytest.approx(2.0 * q, rel=1e-14)
+        assert sc._endpoint(m3, q, 0.0)[1] == pytest.approx(q, rel=1e-14)
+        if q > 1.0:
+            assert sc._endpoint(m2, q, 0.0)[1] == pytest.approx(q - 1.0, rel=1e-14)
+
+    def test_endpoint_exponent_double_root(self, m3crit, m5):
+        # s = mu r~'(1)/|Q(1)| - 1 with Q(1) = lam p~''(1)/2 at q = 0, else inf
+        assert md.GapEvaluator(m3crit).m == 2
+        assert sc._endpoint(m3crit, 0.0, 0.0)[1] == pytest.approx(1.0, rel=1e-14)
+        assert sc._endpoint(m3crit, 0.5, 0.0)[1] == math.inf
+        assert sc._endpoint(m5, 0.0, 0.0)[1] == math.inf
+
+    def test_endpoint_exponent_exact_tie(self):
+        # p0 = p2 = 1/2, lam = 2, mu = 1, r_1 = 1: Q(1) = 1 = mu r~'(1), so s = 0
+        # exactly, and Phi_0 is the power function 1^x
+        spec = md.make_spec(md.OffspringLaw.tabular({0: 0.5, 2: 0.5}), 2.0,
+                            md.ImmigrationLaw.tabular({1: 1.0}), 1.0)
+        assert sc._endpoint(spec, 0.0, 0.0)[1] == 0.0
+        assert sc._phi_0(spec, quad.DEFAULT_CFG).tbl is None
+        assert [sc.phi_0_fn(spec, x) for x in (0, 1, 50)] == [1.0, 1.0, 1.0]
 
 
 # log omega = -int gamma is ScaleTable.logw on the table's own nodes.  The
