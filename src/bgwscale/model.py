@@ -18,15 +18,11 @@ which cover every fixture used in the tests without a symbolic engine.
 
 The roots varphi_qbar, phi_q and phi have one solver, ``_root``: each function
 is convex or concave, so Newton's method from the end where f f'' > 0 moves
-monotonically to the root and stops there, with no tolerance.  varphi and phi
-solve g(z) = (p~(z) - z)/(1 - z) and z(r~(z) - 1)/(1 - z), which keep their digits
-near 1, and varphi_qbar of tabular offspring solves lam (1 - z) g(z) = qbar z.
-The phi_q and varphi_qbar brackets start at closed-form lower bounds,
-mu r_-1/(mu + q) and lam p0/(lam + qbar).
-
-The branching gap D(v) = lam (p~(v) - v) - qbar v is factored once at its root
-U = varphi_qbar as (v - U)^m Q(v) (``GapEvaluator``): tables evaluate D near
-U through Q, and the endpoint exponent of every scale function reads m and Q(U).
+monotonically to the root and stops there, with no tolerance.  varphi, phi and
+varphi_qbar of tabular offspring solve deflated forms, (p~(z) - z)/(1 - z) and
+z(r~(z) - 1)/(1 - z), which keep their digits near 1, and brackets start at closed-form
+lower bounds.  ``GapEvaluator`` factors the gap D(v) = lam(p~(v) - v) - qbar v once at
+its root U = varphi_qbar as (v - U)^m Q(v), for the tables and their endpoint exponent.
 """
 
 from __future__ import annotations
@@ -353,9 +349,8 @@ def root_phi_q(spec: ModelSpec, q: float) -> float:
         # r~(z) - 1 = (1 - z) T(z)/z, T concave and decreasing from r_-1 to -mean
         T = np.polynomial.Polynomial(imm._deflated_gap())
         return float(_root(T, T.deriv(), 0.0, 1.0, convex=False))
-    # r~(z) >= r_-1/z, so f >= 0 at the bracket's left end
     f = lambda z: -mu * imm.one_minus_pgf(z) - q
-    lo = mu * imm.r_minus1 / (mu + q)
+    lo = mu * imm.r_minus1 / (mu + q)  # r~(z) >= r_-1/z, so f(lo) >= 0
     return _root(f, lambda z: mu * imm.pgf_prime(z), lo, 1.0, convex=True)
 
 
@@ -368,13 +363,13 @@ def root_varphi_qbar(spec: ModelSpec, qbar: float) -> float:
         return root_varphi(spec)
     lam = spec.lam
     off = spec.offspring
-    # p~(z) >= p0, so f >= 0 at the bracket's left end
     f = lambda z: lam * (off.pgf(z) - z) - qbar * z
     if not off.alpha:  # p~(z) - z = (1 - z) g(z), as in root_varphi: no cancellation near 1
         g = np.polynomial.Polynomial(off._deflated_gap())
         f = lambda z: lam * (1.0 - z) * g(z) - qbar * z
     fp = lambda z: lam * (off.pgf_prime(z) - 1.0) - qbar
-    return _root(f, fp, lam * off.prob0 / (lam + qbar), 1.0, convex=True)
+    lo = lam * off.prob0 / (lam + qbar)  # p~ >= p0, so f(lo) >= 0
+    return _root(f, fp, lo, 1.0, convex=True)
 
 
 def is_explosive(spec: ModelSpec) -> bool:
@@ -493,15 +488,12 @@ class GapEvaluator:
     def __init__(self, spec: ModelSpec, qbar: float = 0.0):
         off, lam = spec.offspring, spec.lam
         self.root = U = root_varphi_qbar(spec, qbar)
-        self.m = 2 if qbar == 0.0 and U == 1.0 and not off.alpha and off.mean() == 1.0 else 1
-        self._coef = None
-        if off.alpha:
-            # in u = 1 - v, with the root at us = 1 - U; us = 0 once U rounds to 1,
-            # where Q(U) = inf, as p~'(1) is
+        self.m = 2 if qbar == 0.0 and U == 1.0 and off.mean() == 1.0 else 1
+        if off.alpha:  # the root at us = 1 - U in u = 1 - v; us = 0 gives Q(U) = inf, as p~'(1)
             us = 1.0 - U
             with np.errstate(divide="ignore"):
                 c = lam * (1.0 - off.p0) * np.float64(us) ** (off.alpha - 1.0)
-            self._sibuya = (lam, qbar, off.p0, off.alpha, us, c)
+            self._coef, self._sibuya = None, (lam, qbar, off.p0, off.alpha, us, c)
             return
         coef = lam * np.asarray(off.pmf + (0.0,) * (2 - len(off.pmf)), dtype=float)
         coef[1] -= lam + qbar
@@ -513,10 +505,9 @@ class GapEvaluator:
         """Q(v) = D(v)/(v - U)^m, with d_root = U - v and d_one = 1 - v exact."""
         if self._coef is not None:
             return np.polynomial.polynomial.polyval(v, self._coef)
-        # Sibuya mixture: D = lam*(u - (1-p0) u^alpha) - qbar*(1-u) in u = 1 - v
-        # cancels only near the root, |d_root| <= us/2; there D(u) - D(us), with
-        # D(us) = 0, is expanded in x = d_root/us: Q = c*expm1(alpha log1p(x))/x
-        # - lam - qbar, c = lam (1-p0) us^(alpha-1), and alpha for the fraction at x = 0
+        # Sibuya: D = lam(u - (1-p0) u^alpha) - qbar(1-u) cancels only near the root,
+        # |d_root| <= us/2, where D(u) - D(us), with D(us) = 0, is expanded in x = d_root/us:
+        # Q = c expm1(alpha log1p(x))/x - lam - qbar, c = lam (1-p0) us^(alpha-1), alpha at x = 0
         lam, qbar, p0, a, us, c = self._sibuya
         d_root, u = np.asarray(d_root, dtype=float), np.asarray(d_one, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -315,13 +315,12 @@ _TIE_SHARE = 1e-12
 def _endpoint(spec: md.ModelSpec, q: float, qbar: float) -> tuple[float, float, float]:
     """(U, s, n) at rate q >= 0: the chart's root end U = varphi_qbar, the
     exponent s of the integrand ~ u^(s-1) as u = |v - U| -> 0, and n = N(U),
-    N = q + mu(1 - r~).  Both read the gap D = (v - U)^m Q of
-    ``model.GapEvaluator``.  At a simple root s = n/|Q(U)|, and |n| within
-    _TIE_SHARE of q + mu(1 + r~(U)) is the tie s = 0.  At the double root of
-    critical tabular offspring (m = 2, U = 1), D ~ Q(1) u^2 with Q(1) =
-    lam p~''(1)/2, and N ~ q + mu r~'(1) u: s = inf for q > 0 or Sibuya
-    immigration (N ~ mu u^alpha), else s = mu r~'(1)/|Q(1)| - 1.  n below the
-    tie is the regime phi_q > varphi_qbar, which the paper leaves open."""
+    N = q + mu(1 - r~), read off the gap D = (v - U)^m Q (``md.GapEvaluator``).
+    At a simple root s = n/|Q(U)|, and |n| within _TIE_SHARE of q + mu(1 + r~(U))
+    is the tie s = 0.  At the double root of critical tabular offspring (m = 2,
+    U = 1), D ~ Q(1) u^2, Q(1) = lam p~''(1)/2, and N ~ q + mu r~'(1) u: s = inf
+    for q > 0 or Sibuya immigration (N ~ mu u^alpha), else s = mu r~'(1)/|Q(1)| - 1.
+    n below the tie is the regime phi_q > varphi_qbar, which the paper leaves open."""
     gap = md.GapEvaluator(spec, qbar)
     U = gap.root
     n = tol = q
