@@ -489,7 +489,7 @@ class GapEvaluator:
         off, lam = spec.offspring, spec.lam
         self.root = U = root_varphi_qbar(spec, qbar)
         self.m = 2 if qbar == 0.0 and U == 1.0 and off.mean() == 1.0 else 1
-        if off.alpha:  # the root at us = 1 - U in u = 1 - v; us = 0 gives Q(U) = inf, as p~'(1)
+        if off.alpha:  # root us = 1 - U in u = 1 - v; c = inf at us = 0, as p~'(1) is
             us = 1.0 - U
             with np.errstate(divide="ignore"):
                 c = lam * (1.0 - off.p0) * np.float64(us) ** (off.alpha - 1.0)
