@@ -1,21 +1,25 @@
 """Command-line front end: a thin table over the library.
 
+Every command is a body ``body(spec, **opts)`` put in the tree by ``_command``,
+which loads ``--model``, times the call, prints what the body returns and exits
+with its code.  A body returns its payload, ``(payload, rows, header)`` when it
+also has a CSV form, or ``(payload, code)`` for a nonzero exit code.
+
 The level commands (``scale``, ``passage lt|prob|mean|explosion|avalanche``,
 ``control value|gap``) are the rows of ``LEVEL_COMMANDS``: group, name, the
 library call ``value(spec, level, cfg, **opts)``, the options in display order
 (one of them the level option, ``--x`` or ``--a`` for ``gap``) and the payload
-key; ``_level_command`` turns each row into a click command.  A level is ``n``
-or an inclusive range ``lo..hi``: one level prints ``{key: value}``, a range
+key; ``_level_command`` turns each row into a body.  A level is ``n`` or an
+inclusive range ``lo..hi``: one level prints ``{key: value}``, a range
 ``{key: {level: value}}``, and ``--out csv`` a header and one row per level.
-``model``, ``passage atmin|condition|tilt``, ``control bellman|simulate``,
-``simulate`` and ``verify`` have payloads of their own and are written out.
 
 Success prints one JSON document (or CSV rows) on stdout and exits 0; in JSON a
 non-finite float (an infinite standard error, a NaN mean) prints as ``null``.
-``_Group.main`` alone maps errors to exit codes: regime refusals exit 2 naming
-the violated inequality; usage errors (malformed options or levels, rates or
-levels outside a function's domain) exit 64.  Stdout is byte-stable for fixed
-inputs (wall time goes to stderr).
+``verify`` prints one PASS/FAIL line per check before its summary and exits 1
+when a check fails.  ``_Group.main`` alone maps errors to exit codes: regime
+refusals exit 2 naming the violated inequality; usage errors (malformed options
+or levels, rates or levels outside a function's domain) exit 64.  Stdout is
+byte-stable for fixed inputs (wall time goes to stderr).
 """
 
 from __future__ import annotations
@@ -83,18 +87,6 @@ def _strict(value):
     return value
 
 
-def _finish(spec: md.ModelSpec, payload: dict, t0: float, out_format: str = "json",
-            rows=(), header: tuple[str, ...] = ()) -> None:
-    if out_format == "csv":
-        click.echo(",".join(header))
-        for row in rows:
-            click.echo(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    else:
-        click.echo(json.dumps(_strict(payload)))
-    print(f"# wall_ms={1e3 * (time.perf_counter() - t0):.1f} model={_digest(spec)}",
-          file=sys.stderr)
-
-
 def _exit(code: int, message: str):
     print(message, file=sys.stderr)
     sys.exit(code)
@@ -153,6 +145,12 @@ _q_opt = click.option("--q", required=True, type=float)
 _qbar_opt = click.option("--qbar", required=True, type=float)
 _a_opt = click.option("--a", required=True, type=int)
 _floor_opt = click.option("--floor", default=0, show_default=True)
+_sim_opts = (  # the fields of sim.SimConfig shared by both simulate commands
+    click.option("--paths", "n_paths", default=10000, show_default=True),
+    click.option("--seed", default=0, show_default=True),
+    click.option("--max-jumps", default=1000000, show_default=True),
+    click.option("--threshold", "explosion_threshold", default=1000000, show_default=True),
+)
 
 
 def _levels_opt(name: str, **kwargs):
@@ -161,6 +159,38 @@ def _levels_opt(name: str, **kwargs):
 
 
 _x_opt = _levels_opt("--x", required=True)
+
+
+def _command(group, name: str, *options):
+    """Decorator: add ``group name`` (``--model`` first, then ``options``) running ``body``.
+
+    The command loads the model, calls ``body(spec, **opts)`` and prints the
+    payload it returns as JSON, or its rows under ``--out csv``, then the wall
+    time and the model's digest on stderr; it exits with the body's code.
+    """
+
+    def decorate(body):
+        def run(model_path, out_format="json", **opts):
+            t0 = time.perf_counter()
+            spec = _load(model_path)
+            result = body(spec, **opts)
+            payload, *more = result if isinstance(result, tuple) else (result,)
+            if out_format == "csv":
+                rows, header = more
+                click.echo(",".join(header))
+                for row in rows:
+                    click.echo(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+            else:
+                click.echo(json.dumps(_strict(payload)))
+            print(f"# wall_ms={1e3 * (time.perf_counter() - t0):.1f} model={_digest(spec)}",
+                  file=sys.stderr)
+            return more[0] if len(more) == 1 else EXIT_OK
+
+        for option in reversed((_model_opt, *options)):
+            run = option(run)
+        return group.command(name, help=body.__doc__)(run)
+
+    return decorate
 
 
 # --------------------------------------------------------------- level commands
@@ -221,19 +251,15 @@ LEVEL_COMMANDS = [
 def _level_command(group, name, value, options, key="value") -> None:
     """Add ``group name``: ``value(spec, level, cfg, **opts)`` at each requested level."""
 
-    def run(model_path, levels, cfg, out_format, **opts):
-        t0 = time.perf_counter()
-        spec = _load(model_path)
+    def body(spec, levels, cfg, **opts):
         vals = [value(spec, level, cfg, **opts) for level in levels]
         k = key(**opts) if callable(key) else key
         by_level = {str(level): v for level, v in zip(levels, vals)}
-        _finish(spec, {k: vals[0] if len(levels) == 1 else by_level}, t0, out_format,
-                rows=zip(levels, vals), header=(axis, k))
+        return {k: vals[0] if len(levels) == 1 else by_level}, zip(levels, vals), (axis, k)
 
-    for option in reversed((_model_opt, *options, _tol_opt, _out_opt)):
-        run = option(run)
-    command = group.command(name, help=value.__doc__)(run)
-    # the CSV header names the level option (set before any call of run)
+    body.__doc__ = value.__doc__
+    command = _command(group, name, *options, _tol_opt, _out_opt)(body)
+    # the CSV header names the level option (set before any call of body)
     axis = next(p.opts[0].lstrip("-") for p in command.params if p.name == "levels")
 
 
@@ -243,41 +269,29 @@ for _row in LEVEL_COMMANDS:
 
 # ----------------------------------------------------------------- model
 
-@model_group.command("check")
-@_model_opt
-def model_check(model_path):
-    t0 = time.perf_counter()
-    spec = _load(model_path)
+@_command(model_group, "check")
+def model_check(spec):
     problems = md.validate(spec)
-    _finish(spec, {"valid": not problems, "violations": problems}, t0)
-    if problems:
-        sys.exit(EXIT_REFUSED)
+    return {"valid": not problems, "violations": problems}, EXIT_REFUSED if problems else EXIT_OK
 
 
-@model_group.command("classify")
-@_model_opt
-def model_classify(model_path):
-    t0 = time.perf_counter()
-    spec = _load(model_path)
+@_command(model_group, "classify")
+def model_classify(spec):
     rep = md.classify(spec)
-    payload = {"criticality": rep.criticality, "varphi": rep.varphi, "phi": rep.phi,
-               "explosive": rep.explosive, "critical_tangency": rep.critical_tangency}
-    _finish(spec, payload, t0)
+    return {"criticality": rep.criticality, "varphi": rep.varphi, "phi": rep.phi,
+            "explosive": rep.explosive, "critical_tangency": rep.critical_tangency}
 
 
 # --------------------------------------------------------------- passage
 
-@passage_group.command("atmin")
-@_model_opt
-@_q_opt
-@click.option("--x", required=True, type=int)
-@click.option("--alpha", default=0.0, show_default=True,
-              help="also emit the conditional transforms at this argument")
-@_tol_opt
-@_out_opt
-def passage_atmin(model_path, q, x, alpha, cfg, out_format):
-    t0 = time.perf_counter()
-    spec = _load(model_path)
+@_command(passage_group, "atmin",
+          _q_opt,
+          click.option("--x", required=True, type=int),
+          click.option("--alpha", default=0.0, show_default=True,
+                       help="also emit the conditional transforms at this argument"),
+          _tol_opt,
+          _out_opt)
+def passage_atmin(spec, q, x, alpha, cfg):
     pmf = ps.atmin_law(spec, q, x, cfg).pmf
     payload = {"pmf": {str(k): p for k, p in enumerate(pmf)}}
     if alpha != 0.0:
@@ -286,104 +300,78 @@ def passage_atmin(model_path, q, x, alpha, cfg, out_format):
         if q > 0.0:
             payload["lt_residual"] = {str(k): ps.atmin_lt_residual(spec, q, alpha, x, k, cfg)
                                       for k in range(x + 1)}
-    _finish(spec, payload, t0, out_format, rows=enumerate(pmf), header=("k", "pmf"))
+    return payload, enumerate(pmf), ("k", "pmf")
 
 
-@passage_group.command("condition")
-@_model_opt
-@_q_opt
-@click.option("--x-max", default=5, show_default=True)
-@_tol_opt
-def passage_condition(model_path, q, x_max, cfg):
-    t0 = time.perf_counter()
-    spec = _load(model_path)
+@_command(passage_group, "condition",
+          _q_opt,
+          click.option("--x-max", default=5, show_default=True),
+          _tol_opt)
+def passage_condition(spec, q, x_max, cfg):
     gen = ps.conditioned_generator(spec, q, x_max, cfg)
-    payload = {
+    return {
         "x_max": gen.x_max,
         "leave_rates": {str(x + 1): r for x, r in enumerate(gen.leave_rates)},
         "jumps": {str(x + 1): {str(t): p for t, p in sorted(row.items())}
                   for x, row in enumerate(gen.jumps)},
         "kill_rate": gen.kill_rate,
     }
-    _finish(spec, payload, t0)
 
 
-@passage_group.command("tilt")
-@_model_opt
-@_qbar_opt
-def passage_tilt(model_path, qbar):
-    t0 = time.perf_counter()
-    spec = _load(model_path)
-    _finish(spec, md.spec_to_dict(ps.tilted_model(spec, qbar)), t0)
+@_command(passage_group, "tilt", _qbar_opt)
+def passage_tilt(spec, qbar):
+    return md.spec_to_dict(ps.tilted_model(spec, qbar))
 
 
 # --------------------------------------------------------------- control
 
-@control_group.command("bellman")
-@_model_opt
-@_q_opt
-@_floor_opt
-@click.option("--x-max", default=12, show_default=True)
-@click.option("--f-max", default=12, show_default=True)
-@_tol_opt
-def control_bellman(model_path, q, floor, x_max, f_max, cfg):
-    t0 = time.perf_counter()
-    spec = _load(model_path)
+@_command(control_group, "bellman",
+          _q_opt,
+          _floor_opt,
+          click.option("--x-max", default=12, show_default=True),
+          click.option("--f-max", default=12, show_default=True),
+          _tol_opt)
+def control_bellman(spec, q, floor, x_max, f_max, cfg):
     rep = ctl.verify_bellman(ctl.ControlProblem(spec, floor, q), x_max, f_max, cfg)
     payload = {"ok": rep.ok, "counterexample": list(rep.counterexample)
                if rep.counterexample else None}
-    _finish(spec, payload, t0)
-    if not rep.ok:
-        sys.exit(EXIT_REFUSED)
+    return payload, EXIT_OK if rep.ok else EXIT_REFUSED
 
 
-@control_group.command("simulate")
-@_model_opt
-@_q_opt
-@_floor_opt
-@click.option("--policy", default="barrier", show_default=True,
-              type=click.Choice(["barrier", "topup"]))
-@click.option("--level", default=0, show_default=True,
-              help="barrier level / topup amount")
-@click.option("--x", required=True, type=int)
-@click.option("--paths", default=10000, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--max-jumps", default=1000000, show_default=True)
-@click.option("--threshold", default=1000000, show_default=True)
-def control_simulate(model_path, q, floor, policy, level, x, paths, seed,
-                     max_jumps, threshold):
-    t0 = time.perf_counter()
-    spec = _load(model_path)
-    cfg = sim.SimConfig(seed=seed, n_paths=paths, max_jumps=max_jumps,
-                        explosion_threshold=threshold)
-    est = sim.simulate_controlled(ctl.ControlProblem(spec, floor, q), (policy, level), x, cfg)
-    payload = {"mean": est.mean, "se": est.se, "n": est.n_effective,
-               "censored_fraction": est.censored_fraction}
-    _finish(spec, payload, t0)
+# ------------------------------------------------------------- simulation
+
+def _estimate(est: sim.Estimate) -> dict:
+    return {"mean": est.mean, "se": est.se, "n": est.n_effective,
+            "censored_fraction": est.censored_fraction}
 
 
-# -------------------------------------------------------------- simulate
+@_command(control_group, "simulate",
+          _q_opt,
+          _floor_opt,
+          click.option("--policy", default="barrier", show_default=True,
+                       type=click.Choice(["barrier", "topup"])),
+          click.option("--level", default=0, show_default=True,
+                       help="barrier level / topup amount"),
+          click.option("--x", required=True, type=int),
+          *_sim_opts)
+def control_simulate(spec, q, floor, policy, level, x, **sim_cfg):
+    cfg = sim.SimConfig(**sim_cfg)
+    return _estimate(sim.simulate_controlled(ctl.ControlProblem(spec, floor, q), (policy, level),
+                                             x, cfg))
 
-@main.command("simulate")
-@_model_opt
-@click.option("--kind", type=click.Choice(["lt", "prob", "avalanche", "mean", "explosion"]),
-              default="lt", show_default=True)
-@click.option("--q", default=0.0, show_default=True)
-@click.option("--qbar", default=0.0, show_default=True)
-@click.option("--x", required=True, type=int)
-@click.option("--a", "a_level", default=0, show_default=True)
-@click.option("--paths", default=10000, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--max-jumps", default=1000000, show_default=True)
-@click.option("--threshold", default=1000000, show_default=True)
-@click.option("--horizon", default=math.inf)
-def simulate_cmd(model_path, kind, q, qbar, x, a_level, paths, seed, max_jumps,
-                 threshold, horizon):
+
+@_command(main, "simulate",
+          click.option("--kind", default="lt", show_default=True,
+                       type=click.Choice(["lt", "prob", "avalanche", "mean", "explosion"])),
+          click.option("--q", default=0.0, show_default=True),
+          click.option("--qbar", default=0.0, show_default=True),
+          click.option("--x", required=True, type=int),
+          click.option("--a", "a_level", default=0, show_default=True),
+          *_sim_opts,
+          click.option("--horizon", default=math.inf))
+def simulate_cmd(spec, kind, q, qbar, x, a_level, **sim_cfg):
     """Monte Carlo estimate of a passage/explosion quantity."""
-    t0 = time.perf_counter()
-    spec = _load(model_path)
-    cfg = sim.SimConfig(seed=seed, n_paths=paths, max_jumps=max_jumps,
-                        explosion_threshold=threshold, horizon=horizon)
+    cfg = sim.SimConfig(**sim_cfg)
     if kind == "lt" or kind == "prob":
         est = sim.estimate_lt_passage(spec, q if kind == "lt" else 0.0, x, a_level, cfg)
     elif kind == "avalanche":
@@ -392,25 +380,20 @@ def simulate_cmd(model_path, kind, q, qbar, x, a_level, paths, seed, max_jumps,
         est = sim.estimate_mean_passage(spec, x, a_level, cfg)
     else:
         est = sim.estimate_explosion(spec, q, x, a_level, cfg)
-    payload = {"mean": est.mean, "se": est.se, "n": est.n_effective,
-               "censored_fraction": est.censored_fraction}
-    payload.update({k: v for k, v in est.diagnostics.items()})
-    _finish(spec, payload, t0)
+    return {**_estimate(est), **est.diagnostics}
 
 
 # ---------------------------------------------------------------- verify
 
-@main.command("verify")
-@_model_opt
-@click.option("--suite", type=click.Choice(["analytic", "mc", "control"]), required=True)
-@click.option("--paths", default=20000, show_default=True)
-@click.option("--seed", default=7, show_default=True)
-@click.option("--q", default=0.5, show_default=True,
-              help="discount rate for the control suite")
-@_floor_opt
-def verify_cmd(model_path, suite, paths, seed, q, floor):
+@_command(main, "verify",
+          click.option("--suite", type=click.Choice(["analytic", "mc", "control"]), required=True),
+          click.option("--paths", default=20000, show_default=True),
+          click.option("--seed", default=7, show_default=True),
+          click.option("--q", default=0.5, show_default=True,
+                       help="discount rate for the control suite"),
+          _floor_opt)
+def verify_cmd(spec, suite, paths, seed, q, floor):
     """Run an invariant suite against the model; exit 0 iff all checks pass."""
-    spec = _load(model_path)
     from . import verify as vf
     if suite == "analytic":
         checks = vf.analytic_suite(spec)
@@ -418,13 +401,10 @@ def verify_cmd(model_path, suite, paths, seed, q, floor):
         checks = vf.mc_suite(spec, paths, seed)
     else:
         checks = vf.control_suite(spec, paths, seed, q, floor)
-    failed = 0
     for name, ok, detail in checks:
         click.echo(f"{'PASS' if ok else 'FAIL'} {name} {detail}")
-        failed += 0 if ok else 1
-    click.echo(json.dumps({"suite": suite, "checks": len(checks), "failed": failed}))
-    if failed:
-        sys.exit(1)
+    failed = sum(not ok for _, ok, _ in checks)
+    return {"suite": suite, "checks": len(checks), "failed": failed}, 1 if failed else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -343,15 +343,19 @@ def root_phi_q(spec: ModelSpec, q: float) -> float:
     if not spec.has_culling:
         return 0.0
     imm, mu = spec.immigration, spec.mu
+    # r~(z) - 1 = (1 - z) T(z)/z, T concave and decreasing from r_-1 to -mean
+    T = np.polynomial.Polynomial(imm._deflated_gap())
     if q == 0.0:
         if imm.mean() <= 0.0:
             return 1.0
-        # r~(z) - 1 = (1 - z) T(z)/z, T concave and decreasing from r_-1 to -mean
-        T = np.polynomial.Polynomial(imm._deflated_gap())
         return float(_root(T, T.deriv(), 0.0, 1.0, convex=False))
-    f = lambda z: -mu * imm.one_minus_pgf(z) - q
-    lo = mu * imm.r_minus1 / (mu + q)  # r~(z) >= r_-1/z, so f(lo) >= 0
-    return _root(f, lambda z: mu * imm.pgf_prime(z), lo, 1.0, convex=True)
+    # z (mu (r~(z) - 1) - q) = mu (1 - z) T(z) - q z: a convex polynomial, with no
+    # r_-1/z^2 slope to overflow near 0
+    dT = T.deriv()
+    f = lambda z: mu * (1.0 - z) * T(z) - q * z
+    fp = lambda z: mu * ((1.0 - z) * dT(z) - T(z)) - q
+    lo = mu * imm.r_minus1 / (mu + q)  # z r~(z) >= r_-1, so f(lo) >= 0
+    return float(_root(f, fp, lo, 1.0, convex=True))
 
 
 @lru_cache(maxsize=_ROOT_CACHE_MAX)

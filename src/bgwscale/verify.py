@@ -192,7 +192,7 @@ def control_suite(spec: md.ModelSpec, paths: int, seed: int, q: float,
     checks: list[Check] = []
     try:
         prob = ctl.ControlProblem(spec, floor, q)
-    except Exception as exc:  # noqa: BLE001 - reported, not raised
+    except PreconditionError as exc:  # reported, not raised; a DomainError is a usage error
         return [("control problem admissible", False, str(exc))]
 
     gaps = [ctl.barrier_gap(prob, a) for a in range(floor, floor + 7)]

@@ -1,7 +1,9 @@
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -309,6 +311,16 @@ class TestVerifyCommand:
                              "--suite", "control", "--paths", "5000", "--seed", "7"])
         assert r.exit_code == 0, r.stdout
 
+    @pytest.mark.parametrize("model, q", [("m3", "0.5"), ("m1", "0")],
+                             ids=["immigration", "q0-subcritical"])
+    def test_control_suite_reports_refused_problem(self, runner, model_dir, model, q):
+        r = _invoke(runner, ["verify", "--model", str(model_dir / f"{model}.json"),
+                             "--suite", "control", "--q", q])
+        assert r.exit_code == 1
+        assert r.stdout.startswith("FAIL control problem admissible ")
+        assert json.loads(r.stdout.splitlines()[-1]) == {"suite": "control", "checks": 1,
+                                                         "failed": 1}
+
 
 class TestDeterminism:
     def test_byte_identical_stdout(self, model_dir):
@@ -382,6 +394,9 @@ class TestNegativeRates:
         ("m3", ["passage", "atmin", "--q", "1", "--x", "3", "--alpha", "-1"]),
         ("m1", ["passage", "condition", "--q", "-1"]),
         ("m1", ["control", "gap", "--q", "0.5", "--a", "-1"]),
+        ("m1", ["verify", "--suite", "control", "--q", "nan"]),
+        ("m1", ["verify", "--suite", "control", "--q", "-1"]),
+        ("m1", ["verify", "--suite", "control", "--floor", "-1"]),
     ])
     def test_exit64(self, runner, model_dir, model, args):
         r = _invoke(runner, [*args, "--model", str(model_dir / f"{model}.json")])
@@ -457,3 +472,24 @@ def test_command_tree_snapshot():
                  p.required) for p in cmd.params]
 
     assert dict(walk(main, ())) == COMMAND_TREE
+
+
+def _readme_cli_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("bgwscale ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_example_parses(line):
+    """Every README example names a leaf command and options it accepts (nothing runs)."""
+    import click
+
+    _, *args = shlex.split(line, comments=True)
+    cmd, path = main, []
+    while isinstance(cmd, click.Group):
+        path.append(args.pop(0))
+        assert path[-1] in cmd.commands, f"no command {' '.join(path)!r}"
+        cmd = cmd.commands[path[-1]]
+    with cmd.make_context(" ".join(path), args) as ctx:
+        assert ctx.params["model_path"].endswith(".json")

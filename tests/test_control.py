@@ -7,7 +7,7 @@ from bgwscale import control as ctl
 from bgwscale import model as md
 from bgwscale import scale as sc
 from bgwscale.errors import PreconditionError
-from test_sweep import _log_steps
+from birth_death import log_steps
 
 LOG15 = math.log(1.5)
 PHI1 = 3 - 6 * LOG15            # Phi_0.5(1) on m1
@@ -116,7 +116,7 @@ class TestDeepFloor:
 
     @pytest.mark.parametrize("a", [700, 800])
     def test_value_matches_birth_death(self, spec, a):
-        r = math.exp(_log_steps(0.75, 2.0, 0, 0.0, 1.0)[a + 1])
+        r = math.exp(log_steps(0.75, 2.0, 0, 0.0, 1.0)[a + 1])
         got = ctl.barrier_value(ctl.ControlProblem(spec, 0, 1.0), a, 0)
         assert got == pytest.approx(a + 1 + r / (1 - r), rel=1e-10, abs=0.0)
 

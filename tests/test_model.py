@@ -314,10 +314,11 @@ class TestRootAccuracy:
         spec = md.make_spec(md.OffspringLaw.tabular({0: 0.5, 2: 0.5}), lam)
         assert _ulps(md.root_varphi_qbar(spec, qbar), _small_root(lam, 0.5, qbar, 0.5)) <= 0.5
 
-    @pytest.mark.parametrize("q", [1e13, 1e14, 1e16, 1e17, 1e20])
+    @pytest.mark.parametrize("q", [1e13, 1e14, 1e16, 1e17, 1e20, 1e200, 1e300])
     def test_phi_q_below_1e_14(self, m2, q):
         # m2 culls only, r~(z) = 1/z, so phi_q = 1/(1 + q); the bracket starts at
-        # mu r_-1/(mu + q), not at a fixed 1e-14 where the root used to stop
+        # mu r_-1/(mu + q), not at a fixed 1e-14 where the root used to stop, and
+        # at 1e-200 the slope of r~ near the bracket end, -r_-1/z^2, overflows
         with localcontext() as ctx:
             ctx.prec = 40
             assert _ulps(md.root_phi_q(m2, q), 1 / (1 + Decimal(q))) <= 1.0

@@ -8,6 +8,7 @@ from bgwscale import passage as ps
 from bgwscale import scale as sc
 from bgwscale.errors import (DomainError, PreconditionError, QuadratureError,
                              UnsupportedRegimeError)
+from birth_death import log_mean_passage
 
 LOG15 = math.log(1.5)
 
@@ -212,28 +213,13 @@ class TestMeans:
         with pytest.raises(PreconditionError):
             ps.mean_first_passage(m5, 1, 0)  # extinction not certain
 
-    @staticmethod
-    def _log_bd_mean(lam, p2, mu, x, a):
-        """log E_x[T_a] of the birth-death chain b(j) = lam p2 j + mu, d(j) = lam (1-p2) j:
-        the series sum_{y=a+1}^x sum_{k>=y} prod_{j=y}^{k-1} b(j) / prod_{j=y}^k d(j), in logs."""
-        terms = []
-        for y in range(a + 1, x + 1):
-            lt, k = -math.log(lam * (1.0 - p2) * y), y
-            peak = lt
-            while lt > peak - 60.0:
-                terms.append(lt)
-                lt += math.log(lam * p2 * k + mu) - math.log(lam * (1.0 - p2) * (k + 1))
-                peak, k = max(peak, lt), k + 1
-        top = max(terms)
-        return top + math.log(math.fsum(math.exp(t - top) for t in terms))
-
     @pytest.mark.parametrize("mu", [190.0, 250.0])
     def test_mean_passage_near_float_max(self, mu):
         # E_1[T_0] = e^516.6 at mu = 190: the inner weight passes e^500 on the way
         spec = md.make_spec(md.OffspringLaw.tabular({0: 0.6, 2: 0.4}), 1.0,
                             md.ImmigrationLaw.tabular({1: 1.0}), mu)
         for x, a in ((1, 0), (5, 2)):
-            want = self._log_bd_mean(1.0, 0.4, mu, x, a)
+            want = log_mean_passage(1.0, 0.4, mu, x, a)
             assert want > 500.0
             assert math.log(ps.mean_first_passage(spec, x, a)) == pytest.approx(want, abs=1e-10)
 

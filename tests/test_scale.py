@@ -10,6 +10,7 @@ from bgwscale import quad
 from bgwscale import scale as sc
 from bgwscale.errors import (DomainError, PreconditionError, QuadratureError,
                              UnsupportedRegimeError)
+from birth_death import log_mean_passage
 
 LOG15 = math.log(1.5)
 
@@ -376,26 +377,6 @@ class TestBatchedBuild:
             assert np.max(np.abs(tbl.logw[fin] - want.logw[fin])) <= 1e-13
 
 
-def _bd_mean_passage(lam, p0, p2, mu_up, x, a):
-    """Birth-death series E_x[T_a] = sum_{y=a+1}^x sum_{k>=y} prod_{j=y}^{k-1} b(j) / prod_{j=y}^k d(j)."""
-    def b(y):
-        return lam * p2 * y + mu_up
-
-    def d(y):
-        return lam * p0 * y
-
-    total = 0.0
-    for y in range(a + 1, x + 1):
-        term = 1.0 / d(y)
-        terms, k = [term], y
-        while term > 1e-20 * terms[0]:
-            term *= b(k) / d(k + 1)
-            terms.append(term)
-            k += 1
-        total += math.fsum(terms)
-    return total
-
-
 class TestMeanPassageTable:
     """End-anchored tables probe the mean passage times they serve."""
 
@@ -404,7 +385,7 @@ class TestMeanPassageTable:
         spec = request.getfixturevalue(name)
         lam = spec.lam
         for x, a in ((1, 0), (2, 1), (8, 7), (24, 23), (24, 0), (40, 3)):
-            want = _bd_mean_passage(lam, 0.75, 0.25, mu_up, x, a)
+            want = math.exp(log_mean_passage(lam, 0.25, mu_up, x, a))
             assert ps.mean_first_passage(spec, x, a) == pytest.approx(want, rel=1e-12)
         tbl = sc._table(spec, 0.0)
         assert tbl.diagnostics.level <= 6
